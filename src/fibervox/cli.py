@@ -19,11 +19,11 @@ import numpy as np
 from . import __version__
 from .annotate import annotations_from_fibers, read_annotations, region_grow, render_polylines
 from .config import PipelineConfig
-from .ctsim import (degrade, fbp_slice, radon_slice, rasterize_attenuation,
-                    rasterize_labels, simulate_fbp, write_sinogram)
-from .fibers import (FiberModel, audit_model, canonical_axes, generate_model,
-                     model_statistics, read_fibers_csv, write_fibers_csv,
-                     PHI_BINS, THETA_BINS)
+from .ctsim import (degrade, rasterize_attenuation, rasterize_labels, simulate_fbp,
+                    write_sinogram)
+from .fibers import (FiberModel, audit_model, generate_model, histogram_fields,
+                     model_statistics, orientation_histograms, read_fibers_csv,
+                     write_fibers_csv)
 from .mesh import write_stl
 from .metrics import evaluate
 from .vesselness import (binarize, connected_components, frangi_multiscale,
@@ -51,18 +51,6 @@ class _Outputs:
                 p.unlink(missing_ok=True)
             except OSError:
                 pass
-
-
-def _limit_threads(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"--threads must be >= 1, got {n}")
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        # Stages are single-threaded apart from BLAS; without threadpoolctl
-        # the cap is best-effort only.
-        pass
 
 
 def _require_gray(vol, stem: str) -> Volume:
@@ -146,20 +134,14 @@ def _cmd_degrade(args, cfg: PipelineConfig, out: _Outputs) -> None:
 def _cmd_fbp(args, cfg: PipelineConfig, out: _Outputs) -> None:
     gray = _require_gray(read_volume(args.input), args.input)
     n_angles = cfg.raw["fbp"]["n_angles"]
+    sink = None
     if args.dump_sinograms:
         sino_dir = Path(args.dump_sinograms)
         sino_dir.mkdir(parents=True, exist_ok=True)
-        nx, ny, nz = gray.grid.dims
-        recon = np.empty((nx, ny, nz), dtype=np.float32)
-        for k in range(nz):
-            sino = radon_slice(gray.data[:, :, k], n_angles)
-            stem = sino_dir / f"sino_z{k:04d}"
-            out.track(Path(str(stem) + ".json"), Path(str(stem) + ".raw"))
-            write_sinogram(sino, stem)
-            recon[:, :, k] = fbp_slice(sino, (nx, ny)).astype(np.float32)
-        result = Volume(grid=gray.grid, data=recon)
-    else:
-        result = simulate_fbp(gray, n_angles)
+
+        def sink(k, sino):
+            write_sinogram(sino, out.track_stem(sino_dir / f"sino_z{k:04d}"))
+    result = simulate_fbp(gray, n_angles, sink)
     write_volume(result, out.track_stem(args.output))
     _summary(stage="fbp", n_angles=n_angles)
 
@@ -198,16 +180,15 @@ def _cmd_segment(args, cfg: PipelineConfig, out: _Outputs) -> None:
         field = structure_tensor_orientation(gray, seg["orientation_sigma_g"],
                                              seg["orientation_rho"])
         for suffix in (".ox", ".oy", ".oz", ".valid"):
-            out.track(Path(args.orientation + suffix + ".json"),
-                      Path(args.orientation + suffix + ".raw"))
+            out.track_stem(args.orientation + suffix)
         write_orientation_field(field, args.orientation)
     _summary(stage="segment", components=int(instances.data.max()),
              mask_voxels=int(np.count_nonzero(mask.data)))
 
 
 def _cmd_evaluate(args, cfg: PipelineConfig, out: _Outputs) -> None:
-    truth = read_volume(args.truth)
-    pred = read_volume(args.pred)
+    truth = _require_labels(read_volume(args.truth), args.truth)
+    pred = _require_labels(read_volume(args.pred), args.pred)
     if truth.grid != pred.grid:
         raise ValueError(
             f"grid mismatch: truth dims {truth.grid.dims} (voxel {truth.grid.voxel_size} um) "
@@ -246,18 +227,6 @@ def _label_statistics(vol: LabelVolume) -> dict:
         proj = centered @ axis
         lengths.append((proj.max() - proj.min() + 1.0) * h)
         axes.append(axis)
-    theta_counts = np.zeros(THETA_BINS, dtype=np.int64)
-    phi_counts = np.zeros(PHI_BINS, dtype=np.int64)
-    if axes:
-        a = np.asarray(axes)
-        flip = (a[:, 2] < 0) \
-            | ((a[:, 2] == 0) & (a[:, 1] < 0)) \
-            | ((a[:, 2] == 0) & (a[:, 1] == 0) & (a[:, 0] < 0))
-        a[flip] *= -1.0
-        theta = np.degrees(np.arcsin(np.clip(a[:, 2], 0.0, 1.0)))
-        phi = np.degrees(np.arctan2(a[:, 1], a[:, 0])) % 360.0
-        theta_counts, _ = np.histogram(theta, bins=THETA_BINS, range=(0.0, 90.0))
-        phi_counts, _ = np.histogram(phi, bins=PHI_BINS, range=(0.0, 360.0))
     lengths_arr = np.asarray(lengths)
     return {
         "fiber_count": len(lengths),
@@ -266,10 +235,7 @@ def _label_statistics(vol: LabelVolume) -> dict:
         "mean_length_um": float(lengths_arr.mean()) if lengths else 0.0,
         "foreground_fraction": float(np.count_nonzero(vol.data) / vol.grid.voxel_count),
         "length_hist": _length_histogram(lengths),
-        "theta_hist": {"bin_deg": 90 / THETA_BINS, "range_deg": [0, 90],
-                       "counts": [int(c) for c in theta_counts]},
-        "phi_hist": {"bin_deg": 360 / PHI_BINS, "range_deg": [0, 360],
-                     "counts": [int(c) for c in phi_counts]},
+        **histogram_fields(*orientation_histograms(np.reshape(axes, (-1, 3)))),
     }
 
 
@@ -299,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override one config value, e.g. --set model.seed=7")
     common.add_argument("--seed", type=int, default=None,
                         help="override model.seed and degrade.noise_seed")
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap worker threads (best effort)")
 
     parser = argparse.ArgumentParser(
         prog="fibervox",
@@ -387,8 +351,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.raw["model"]["seed"] = args.seed
             cfg.raw["degrade"]["noise_seed"] = args.seed
-        if args.threads is not None:
-            _limit_threads(args.threads)
         _HANDLERS[args.command](args, cfg, outputs)
         return 0
     except Exception as exc:  # noqa: BLE001 - single CLI error boundary

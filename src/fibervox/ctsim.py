@@ -11,7 +11,6 @@ with h the voxel size and the box corner at the origin.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .fibers import FiberModel
-from .volume import GridSpec, LabelVolume, Volume
+from .volume import GridSpec, LabelVolume, Volume, _write_raw
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,28 @@ def _segment_point_dist_sq(p0, axis, inv_len_sq, px, py, pz):
     return dx * dx + dy * dy + dz * dz
 
 
+def _capsule_voxels(fiber, grid: GridSpec, centers):
+    """The voxels near one fiber, or None if its capsule misses the grid.
+
+    Returns ``(box, d2, dist_sq)``: the index slices of the capsule's bounding
+    box, the squared distance of each box voxel center (``centers`` are the
+    per-axis voxel centers) to the fiber axis, and ``dist_sq(px, py, pz)``
+    giving that distance for any broadcastable point coordinates.
+    """
+    bbox = _capsule_bbox(fiber, grid)
+    if bbox is None:
+        return None
+    box = tuple(slice(a, b + 1) for a, b in zip(*bbox))
+    axis = fiber.p1 - fiber.p0
+    inv_len_sq = 1.0 / float(axis @ axis)
+
+    def dist_sq(px, py, pz):
+        return _segment_point_dist_sq(fiber.p0, axis, inv_len_sq, px, py, pz)
+
+    cx, cy, cz = (c[s] for c, s in zip(centers, box))
+    return box, dist_sq(cx[:, None, None], cy[None, :, None], cz[None, None, :]), dist_sq
+
+
 def rasterize_labels(m: FiberModel, grid: GridSpec) -> tuple[LabelVolume, int]:
     """Per-fiber ID volume: a voxel gets a fiber's ID iff its center lies
     within the fiber's capsule. Lower IDs win contested voxels; the conflict
@@ -98,21 +119,15 @@ def rasterize_labels(m: FiberModel, grid: GridSpec) -> tuple[LabelVolume, int]:
     """
     _check_grid_covers(grid, m.params.box_edge)
     labels = LabelVolume.zeros(grid)
-    data = labels.data
-    cx, cy, cz = _axis_centers(grid)
+    centers = _axis_centers(grid)
     conflicts = 0
     for fiber in sorted(m.fibers, key=lambda f: f.id):
-        bbox = _capsule_bbox(fiber, grid)
-        if bbox is None:
+        near = _capsule_voxels(fiber, grid, centers)
+        if near is None:
             continue
-        (i0, j0, k0), (i1, j1, k1) = bbox
-        axis = fiber.p1 - fiber.p0
-        inv_len_sq = 1.0 / float(axis @ axis)
-        d2 = _segment_point_dist_sq(
-            fiber.p0, axis, inv_len_sq,
-            cx[i0:i1 + 1, None, None], cy[None, j0:j1 + 1, None], cz[None, None, k0:k1 + 1])
+        box, d2, _ = near
         inside = d2 <= fiber.radius**2
-        region = data[i0:i1 + 1, j0:j1 + 1, k0:k1 + 1]
+        region = labels.data[box]
         taken = region != 0
         conflicts += int(np.count_nonzero(inside & taken))
         region[inside & ~taken] = fiber.id
@@ -140,32 +155,26 @@ def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
     h = grid.voxel_size
     s3 = supersample**3
     counts = np.zeros(grid.dims, dtype=np.uint16)
-    cx, cy, cz = _axis_centers(grid)
+    centers = _axis_centers(grid)
     # Sub-lattice offsets within a voxel, per axis.
     sub = ((np.arange(supersample, dtype=np.float64) + 0.5) / supersample - 0.5) * h
     offsets = np.stack(np.meshgrid(sub, sub, sub, indexing="ij"), axis=-1).reshape(-1, 3)
     half_diag = 0.5 * h * math.sqrt(3.0)
 
     for fiber in m.fibers:
-        bbox = _capsule_bbox(fiber, grid)
-        if bbox is None:
+        near = _capsule_voxels(fiber, grid, centers)
+        if near is None:
             continue
-        (i0, j0, k0), (i1, j1, k1) = bbox
-        axis = fiber.p1 - fiber.p0
-        inv_len_sq = 1.0 / float(axis @ axis)
-        d2 = _segment_point_dist_sq(
-            fiber.p0, axis, inv_len_sq,
-            cx[i0:i1 + 1, None, None], cy[None, j0:j1 + 1, None], cz[None, None, k0:k1 + 1])
+        box, d2, dist_sq = near
         dist = np.sqrt(d2)
-        region = counts[i0:i1 + 1, j0:j1 + 1, k0:k1 + 1]
+        region = counts[box]
         region[dist <= fiber.radius - half_diag] = s3
         shell = (dist > fiber.radius - half_diag) & (dist < fiber.radius + half_diag)
         if shell.any():
             si, sj, sk = np.nonzero(shell)
-            pts = np.stack([cx[si + i0], cy[sj + j0], cz[sk + k0]], axis=-1)
+            pts = np.stack([c[s][i] for c, s, i in zip(centers, box, (si, sj, sk))], axis=-1)
             sub_pts = pts[None, :, :] + offsets[:, None, :]
-            d2s = _segment_point_dist_sq(fiber.p0, axis, inv_len_sq,
-                                         sub_pts[..., 0], sub_pts[..., 1], sub_pts[..., 2])
+            d2s = dist_sq(sub_pts[..., 0], sub_pts[..., 1], sub_pts[..., 2])
             inside = (d2s <= fiber.radius**2).sum(axis=0).astype(np.uint16)
             region[si, sj, sk] = np.minimum(
                 region[si, sj, sk].astype(np.int64) + inside, s3).astype(np.uint16)
@@ -287,29 +296,25 @@ def fbp_slice(sino: Sinogram, shape: tuple[int, int]) -> np.ndarray:
     return recon * (math.pi / sino.n_angles)
 
 
-def simulate_fbp(v: Volume, n_angles: int) -> Volume:
-    """Project and reconstruct every z-slice (parallel-beam, Ram-Lak)."""
+def simulate_fbp(v: Volume, n_angles: int, sinogram_sink=None) -> Volume:
+    """Project and reconstruct every z-slice (parallel-beam, Ram-Lak).
+
+    ``sinogram_sink(k, sino)``, when given, receives the sinogram of slice k
+    before it is reconstructed.
+    """
     if n_angles < 1:
         raise ValueError(f"n_angles must be >= 1, got {n_angles}")
     nx, ny, nz = v.grid.dims
     out = np.empty((nx, ny, nz), dtype=np.float32)
     for k in range(nz):
         sino = radon_slice(v.data[:, :, k], n_angles)
+        if sinogram_sink is not None:
+            sinogram_sink(k, sino)
         out[:, :, k] = fbp_slice(sino, (nx, ny)).astype(np.float32)
     return Volume(grid=v.grid, data=out)
 
 
 def write_sinogram(sino: Sinogram, path_stem: str | Path) -> None:
     """Optional sinogram dump: f32 raw (angle-major) plus a JSON sidecar."""
-    stem = str(path_stem)
-    meta = {
-        "n_angles": sino.n_angles,
-        "n_detectors": sino.n_detectors,
-        "angles_rad": [float(a) for a in sino.angles],
-        "dtype": "f32",
-        "order": "detector-fastest",
-        "endianness": "little",
-    }
-    Path(stem + ".json").write_text(json.dumps(meta, indent=2) + "\n")
-    Path(stem + ".raw").write_bytes(
-        np.ascontiguousarray(sino.data, dtype="<f4").tobytes())
+    _write_raw(path_stem, sino.data, "f32", order="detector-fastest", n_angles=sino.n_angles,
+               n_detectors=sino.n_detectors, angles_rad=[float(a) for a in sino.angles])

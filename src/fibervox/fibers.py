@@ -122,11 +122,47 @@ class ModelStats:
             "total_fiber_volume_um3": self.total_fiber_volume,
             "volume_fraction": self.volume_fraction,
             "weight_fraction": self.weight_fraction,
-            "theta_hist": {"bin_deg": 90 / THETA_BINS, "range_deg": [0, 90],
-                           "counts": [int(c) for c in self.theta_hist]},
-            "phi_hist": {"bin_deg": 360 / PHI_BINS, "range_deg": [0, 360],
-                         "counts": [int(c) for c in self.phi_hist]},
+            **histogram_fields(self.theta_hist, self.phi_hist),
         }
+
+
+def hemisphere(axes: np.ndarray) -> np.ndarray:
+    """Axes (..., 3) canonicalized for unoriented fibers: z >= 0, ties broken
+    by y >= 0, then x >= 0."""
+    flip = (axes[..., 2] < 0) \
+        | ((axes[..., 2] == 0) & (axes[..., 1] < 0)) \
+        | ((axes[..., 2] == 0) & (axes[..., 1] == 0) & (axes[..., 0] < 0))
+    return np.where(flip[..., None], -axes, axes)
+
+
+def orientation_histograms(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Theta and phi counts of unit axes (n, 3) in the fixed bins, after
+    :func:`hemisphere`. Theta is the elevation above the XY plane in [0, 90]
+    degrees; phi is the azimuth of the XY projection in [0, 360)."""
+    axes = hemisphere(axes)
+    theta = np.degrees(np.arcsin(np.clip(axes[:, 2], 0.0, 1.0)))
+    phi = np.degrees(np.arctan2(axes[:, 1], axes[:, 0])) % 360.0
+    theta_hist, _ = np.histogram(theta, bins=THETA_BINS, range=(0.0, 90.0))
+    phi_hist, _ = np.histogram(phi, bins=PHI_BINS, range=(0.0, 360.0))
+    return theta_hist.astype(np.int64), phi_hist.astype(np.int64)
+
+
+def histogram_fields(theta_hist, phi_hist) -> dict:
+    """The ``theta_hist`` and ``phi_hist`` entries of a statistics document."""
+    return {
+        "theta_hist": {"bin_deg": 90 / THETA_BINS, "range_deg": [0, 90],
+                       "counts": [int(c) for c in theta_hist]},
+        "phi_hist": {"bin_deg": 360 / PHI_BINS, "range_deg": [0, 360],
+                     "counts": [int(c) for c in phi_hist]},
+    }
+
+
+def _fiber_arrays(fibers: list[Fiber]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First endpoints (n, 3), second endpoints (n, 3) and radii (n,) of a fiber list."""
+    n = len(fibers)
+    return (np.array([f.p0 for f in fibers]).reshape(n, 3),
+            np.array([f.p1 for f in fibers]).reshape(n, 3),
+            np.array([f.radius for f in fibers]).reshape(n))
 
 
 def segment_distance_sq(p0, p1, q0, q1) -> np.ndarray:
@@ -293,9 +329,7 @@ def audit_model(model: FiberModel) -> dict:
     fibers whose end-spheres stick out of the box.
     """
     n = len(model.fibers)
-    p0 = np.array([f.p0 for f in model.fibers]).reshape(n, 3)
-    p1 = np.array([f.p1 for f in model.fibers]).reshape(n, 3)
-    radii = np.array([f.radius for f in model.fibers]).reshape(n)
+    p0, p1, radii = _fiber_arrays(model.fibers)
     overlaps = 0
     for i in range(n - 1):
         d2 = segment_distance_sq(p0[i], p1[i], p0[i + 1:], p1[i + 1:])
@@ -312,17 +346,9 @@ def audit_model(model: FiberModel) -> dict:
 def canonical_axes(fibers: list[Fiber]) -> np.ndarray:
     """Unit axis per fiber, canonicalized for unoriented fibers: z >= 0,
     ties broken by y >= 0, then x >= 0."""
-    if not fibers:
-        return np.zeros((0, 3))
-    p0 = np.array([f.p0 for f in fibers])
-    p1 = np.array([f.p1 for f in fibers])
+    p0, p1, _ = _fiber_arrays(fibers)
     axes = p1 - p0
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    flip = (axes[:, 2] < 0) \
-        | ((axes[:, 2] == 0) & (axes[:, 1] < 0)) \
-        | ((axes[:, 2] == 0) & (axes[:, 1] == 0) & (axes[:, 0] < 0))
-    axes[flip] *= -1.0
-    return axes
+    return hemisphere(axes / np.linalg.norm(axes, axis=1, keepdims=True))
 
 
 def weight_fraction(volume_fraction: float,
@@ -336,25 +362,22 @@ def weight_fraction(volume_fraction: float,
 
 
 def model_statistics(model: FiberModel) -> ModelStats:
-    """Length, volume-fraction, weight-fraction, and orientation statistics.
-
-    Theta is the elevation of the canonical axis above the XY plane in
-    [0, 90] degrees; phi is the azimuth of its XY projection in [0, 360).
-    An empty model yields zero counts and fractions.
+    """Length, volume-fraction, weight-fraction, and orientation statistics
+    (see :func:`orientation_histograms` for the angles). An empty model yields
+    zero counts and fractions.
     """
     n = len(model.fibers)
+    p0, p1, radii = _fiber_arrays(model.fibers)
+    axes = p1 - p0
+    theta_hist, phi_hist = orientation_histograms(
+        axes / np.linalg.norm(axes, axis=1, keepdims=True))
     if n == 0:
-        return ModelStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                          np.zeros(THETA_BINS, dtype=np.int64),
-                          np.zeros(PHI_BINS, dtype=np.int64))
-    lengths = np.array([f.length for f in model.fibers])
-    total_volume = float(sum(f.volume for f in model.fibers))
+        return ModelStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, theta_hist, phi_hist)
+    # The same dot kernel and summation order as Fiber.length / Fiber.volume,
+    # so the statistics match the per-fiber properties bit for bit.
+    lengths = np.sqrt(np.matmul(axes[:, None, :], axes[:, :, None])[:, 0, 0])
+    total_volume = float(sum((math.pi * radii**2 * lengths).tolist()))
     vf = total_volume / model.params.box_edge**3
-    axes = canonical_axes(model.fibers)
-    theta = np.degrees(np.arcsin(np.clip(axes[:, 2], 0.0, 1.0)))
-    phi = np.degrees(np.arctan2(axes[:, 1], axes[:, 0])) % 360.0
-    theta_hist, _ = np.histogram(theta, bins=THETA_BINS, range=(0.0, 90.0))
-    phi_hist, _ = np.histogram(phi, bins=PHI_BINS, range=(0.0, 360.0))
     return ModelStats(
         fiber_count=n,
         min_length=float(lengths.min()),
@@ -363,19 +386,16 @@ def model_statistics(model: FiberModel) -> ModelStats:
         total_fiber_volume=total_volume,
         volume_fraction=vf,
         weight_fraction=weight_fraction(vf),
-        theta_hist=theta_hist.astype(np.int64),
-        phi_hist=phi_hist.astype(np.int64),
+        theta_hist=theta_hist,
+        phi_hist=phi_hist,
     )
 
 
 def write_fibers_csv(fibers: list[Fiber], path: str | Path) -> None:
     """Write the fiber list as CSV: id,x0,y0,z0,x1,y1,z1,radius_um (6 decimals)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write("id,x0,y0,z0,x1,y1,z1,radius_um\n")
-        for f in fibers:
-            coords = [*f.p0, *f.p1, f.radius]
-            fh.write(f"{f.id}," + ",".join(f"{v:.6f}" for v in coords) + "\n")
+    table = np.column_stack([[f.id for f in fibers], *_fiber_arrays(fibers)])
+    np.savetxt(path, table, fmt=["%d"] + ["%.6f"] * 7, delimiter=",",
+               header="id,x0,y0,z0,x1,y1,z1,radius_um", comments="")
 
 
 def read_fibers_csv(path: str | Path) -> list[Fiber]:

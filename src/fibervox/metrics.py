@@ -70,6 +70,19 @@ class MetricReport:
         }
 
 
+def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[float, int, int, int]:
+    """Dice, true-positive, false-positive and false-negative voxel counts of
+    two same-shape labelings, foreground being nonzero. Both empty gives Dice
+    1.0 by convention."""
+    ta = a != 0
+    tb = b != 0
+    tp = int(np.count_nonzero(ta & tb))
+    fp = int(np.count_nonzero(~ta & tb))
+    fn = int(np.count_nonzero(ta & ~tb))
+    size_sum = 2 * tp + fp + fn
+    return (1.0 if size_sum == 0 else 2.0 * tp / size_sum), tp, fp, fn
+
+
 def dice(truth, pred) -> float:
     """Dice overlap 2|B and B'| / (|B| + |B'|) of two binary masks.
 
@@ -80,13 +93,7 @@ def dice(truth, pred) -> float:
     _check_same_shape(a, b)
     if a.max(initial=0) > 1 or b.max(initial=0) > 1:
         raise ValueError("dice requires binary masks with values in {0, 1}")
-    ta = a != 0
-    tb = b != 0
-    tp = int(np.count_nonzero(ta & tb))
-    size_sum = int(np.count_nonzero(ta)) + int(np.count_nonzero(tb))
-    if size_sum == 0:
-        return 1.0
-    return 2.0 * tp / size_sum
+    return _overlap(a, b)[0]
 
 
 def contingency_table(truth, pred, ignore_background: bool = True) -> ContingencyTable:
@@ -115,8 +122,8 @@ def contingency_table(truth, pred, ignore_background: bool = True) -> Contingenc
 
 
 def _pair_count_sum(counts: np.ndarray) -> int:
-    c = counts.astype(np.int64, copy=False)
-    return int(np.sum(c * (c - 1) // 2, dtype=np.int64))
+    """Sum of c*(c-1)/2 over the counts, in Python integers (no int64 wrap)."""
+    return sum(c * (c - 1) // 2 for c in counts[counts > 1].tolist())
 
 
 def adjusted_rand_index(truth, pred, ignore_background: bool = True) -> float:
@@ -150,14 +157,8 @@ def evaluate(truth, pred, ignore_background: bool = True) -> MetricReport:
     a = _label_data(truth, "truth")
     b = _label_data(pred, "pred")
     _check_same_shape(a, b)
-    ta = a != 0
-    tb = b != 0
-    tp = int(np.count_nonzero(ta & tb))
-    fp = int(np.count_nonzero(~ta & tb))
-    fn = int(np.count_nonzero(ta & ~tb))
-    size_sum = 2 * tp + fp + fn
-    dice_value = 1.0 if size_sum == 0 else 2.0 * tp / size_sum
+    dice_value, tp, fp, fn = _overlap(a, b)
     ari_value = adjusted_rand_index(a, b, ignore_background=ignore_background)
     return MetricReport(dice=dice_value, ari=ari_value, tp=tp, fp=fp, fn=fn,
-                        n=int(a.size) if not ignore_background else int(np.count_nonzero(ta)),
+                        n=tp + fn if ignore_background else int(a.size),
                         ignore_background=ignore_background)

@@ -6,14 +6,13 @@ plate-vs-line ratio, the blobness ratio, and the second-order energy; the
 multi-scale result is the voxel-wise maximum over scales. A structure-tensor
 orientation estimator for the extracted fibers lives here too.
 
-Memory note: single-scale filtering holds roughly ten float64 arrays of the
-volume size; intended for desk-scale volumes (up to ~256^3), not full
-high-resolution scans.
+Memory note: multi-scale filtering peaks at about 25 float64 arrays of the
+volume size (3.1 GB peak RSS at 241^3); intended for desk-scale volumes (up
+to ~256^3), not full high-resolution scans.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,8 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .volume import GridSpec, LabelVolume, Volume, read_volume, write_volume
+from .fibers import hemisphere
+from .volume import GridSpec, LabelVolume, Volume, _write_raw, read_volume, write_volume
 
 
 @dataclass(frozen=True)
@@ -325,12 +325,7 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
     tensor[..., 0, 2] = tensor[..., 2, 0] = jxz
     tensor[..., 1, 2] = tensor[..., 2, 1] = jyz
     _, vectors = np.linalg.eigh(tensor)
-    axes = vectors[..., :, 0]
-    flip = (axes[..., 2] < 0) \
-        | ((axes[..., 2] == 0) & (axes[..., 1] < 0)) \
-        | ((axes[..., 2] == 0) & (axes[..., 1] == 0) & (axes[..., 0] < 0))
-    axes = np.where(flip[..., None], -axes, axes)
-    return OrientationField(grid=v.grid, axes=axes.astype(np.float32),
+    return OrientationField(grid=v.grid, axes=hemisphere(vectors[..., :, 0]).astype(np.float32),
                             valid=valid)
 
 
@@ -342,16 +337,8 @@ def write_orientation_field(field: OrientationField, path_stem: str | Path) -> N
         write_volume(Volume(grid=field.grid,
                             data=np.ascontiguousarray(field.axes[..., idx])),
                      stem + suffix)
-    meta = {
-        "dims": list(field.grid.dims),
-        "voxel_size_um": field.grid.voxel_size,
-        "dtype": "u8",
-        "order": "x-fastest",
-        "endianness": "little",
-    }
-    Path(stem + ".valid.json").write_text(json.dumps(meta, indent=2) + "\n")
-    Path(stem + ".valid.raw").write_bytes(
-        field.valid.astype(np.uint8).ravel(order="F").tobytes())
+    _write_raw(stem + ".valid", field.valid.ravel(order="F"), "u8",
+               dims=list(field.grid.dims), voxel_size_um=field.grid.voxel_size)
 
 
 def read_orientation_field(path_stem: str | Path) -> OrientationField:
@@ -359,9 +346,8 @@ def read_orientation_field(path_stem: str | Path) -> OrientationField:
     components = [read_volume(stem + suffix) for suffix in (".ox", ".oy", ".oz")]
     grid = components[0].grid
     axes = np.stack([c.data for c in components], axis=-1)
-    meta = json.loads(Path(stem + ".valid.json").read_text())
-    if meta.get("dtype") != "u8":
-        raise ValueError(f"validity mask '{stem}.valid' must have dtype u8")
-    raw = np.frombuffer(Path(stem + ".valid.raw").read_bytes(), dtype=np.uint8)
-    valid = raw.reshape(grid.dims, order="F").astype(bool)
-    return OrientationField(grid=grid, axes=axes, valid=valid)
+    mask = read_volume(stem + ".valid")
+    if not isinstance(mask, LabelVolume) or mask.grid != grid:
+        raise ValueError(f"validity mask '{stem}.valid' must be a u8 mask on the grid of "
+                         f"'{stem}.ox'")
+    return OrientationField(grid=grid, axes=axes, valid=mask.data.astype(bool))

@@ -6,7 +6,8 @@ which corresponds to Fortran-order raveling of the array.
 
 On disk a volume is a pair of files sharing a stem: ``<stem>.json`` carries
 the metadata and ``<stem>.raw`` the little-endian sample stream. Gray data is
-32-bit float (tag ``"f32"``), label data 32-bit unsigned int (tag ``"u32"``).
+32-bit float (tag ``"f32"``), label data 32-bit unsigned int (tag ``"u32"``);
+masks are stored as 8-bit unsigned int (tag ``"u8"``) and read as labels.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ RAW_ORDER = "x-fastest"
 RAW_ENDIANNESS = "little"
 FORMAT_VERSION = 1
 
-_DTYPES = {"f32": np.dtype("<f4"), "u32": np.dtype("<u4")}
+_DTYPES = {"f32": np.dtype("<f4"), "u32": np.dtype("<u4"), "u8": np.dtype("u1")}
 
 # Offsets of the 26 face/edge/corner neighbors of a voxel.
 NEIGHBORS_26 = tuple(
@@ -129,38 +130,43 @@ class LabelVolume:
         return self.data.ravel(order="F")
 
 
+def _write_raw(path_stem: str | Path, samples: np.ndarray, tag: str, order: str = RAW_ORDER,
+               **fields) -> tuple[Path, Path]:
+    """Write ``samples`` as ``tag`` values in C order to ``<stem>.raw`` and
+    ``fields`` plus dtype, order and endianness to ``<stem>.json``. Returns
+    both paths."""
+    stem = Path(path_stem)
+    json_path = stem.with_name(stem.name + ".json")
+    raw_path = stem.with_name(stem.name + ".raw")
+    meta = {**fields, "dtype": tag, "order": order, "endianness": RAW_ENDIANNESS}
+    try:
+        json_path.write_text(json.dumps(meta) + "\n")
+        raw_path.write_bytes(samples.astype(_DTYPES[tag], copy=False).tobytes())
+    except OSError as exc:
+        raise OSError(f"failed to write '{stem}': {exc}") from exc
+    return json_path, raw_path
+
+
 def write_volume(vol: Volume | LabelVolume, path_stem: str | Path) -> tuple[Path, Path]:
     """Write ``<stem>.json`` metadata and ``<stem>.raw`` sample stream.
 
     The raw file holds exactly nx*ny*nz values, little-endian, x-fastest.
     Returns the two paths written.
     """
-    stem = Path(path_stem)
     if isinstance(vol, Volume):
         tag = "f32"
     elif isinstance(vol, LabelVolume):
         tag = "u32"
     else:
         raise TypeError(f"expected Volume or LabelVolume, got {type(vol).__name__}")
-    meta = {
-        "dims": list(vol.grid.dims),
-        "voxel_size_um": vol.grid.voxel_size,
-        "dtype": tag,
-        "order": RAW_ORDER,
-        "endianness": RAW_ENDIANNESS,
-    }
-    json_path = stem.with_name(stem.name + ".json")
-    raw_path = stem.with_name(stem.name + ".raw")
-    try:
-        json_path.write_text(json.dumps(meta) + "\n")
-        raw_path.write_bytes(vol.flat.astype(_DTYPES[tag], copy=False).tobytes())
-    except OSError as exc:
-        raise OSError(f"failed to write volume '{stem}': {exc}") from exc
-    return json_path, raw_path
+    return _write_raw(path_stem, vol.flat, tag, dims=list(vol.grid.dims),
+                      voxel_size_um=vol.grid.voxel_size)
 
 
 def read_volume(path_stem: str | Path) -> Volume | LabelVolume:
-    """Read a volume pair written by :func:`write_volume`, bit-exactly."""
+    """Read a volume pair written by :func:`write_volume`, bit-exactly.
+
+    A ``u8`` mask reads as a :class:`LabelVolume`."""
     stem = Path(path_stem)
     json_path = stem.with_name(stem.name + ".json")
     raw_path = stem.with_name(stem.name + ".raw")

@@ -1,0 +1,49 @@
+"""Inputs and values that used to pass silently now fail loudly or come out
+exact."""
+
+import numpy as np
+import pytest
+
+from fibervox.metrics import _pair_count_sum
+from fibervox.vesselness import (read_orientation_field, structure_tensor_orientation,
+                                 write_orientation_field)
+from fibervox.volume import GridSpec, LabelVolume, Volume, write_volume
+from test_cli import run_cli
+
+
+def test_pair_count_sum_exact_past_int64():
+    # c*(c-1) exceeds the int64 range once c passes 3 037 000 499
+    c = 3_100_000_000
+    assert _pair_count_sum(np.array([c, 1, 0, 2])) == c * (c - 1) // 2 + 1
+    assert _pair_count_sum(np.array([c])) == 4_804_999_998_450_000_000
+
+
+@pytest.mark.parametrize("gray_side", ["pred", "truth"])
+def test_evaluate_rejects_gray_volume(tmp_path, gray_side):
+    grid = GridSpec(dims=(4, 4, 4), voxel_size=1.0)
+    rng = np.random.default_rng(0)
+    write_volume(LabelVolume(grid=grid, data=np.ones(grid.dims, dtype=np.uint32)),
+                 tmp_path / "labels")
+    write_volume(Volume(grid=grid, data=rng.random(grid.dims)), tmp_path / "gray")
+    stems = {"truth": tmp_path / "labels", "pred": tmp_path / "labels",
+             gray_side: tmp_path / "gray"}
+    code, out, err = run_cli("evaluate", "--truth", str(stems["truth"]),
+                             "--pred", str(stems["pred"]),
+                             "--output", str(tmp_path / "m.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error stage=evaluate:")
+    assert "holds gray data" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_truncated_validity_mask_names_the_file(tmp_path):
+    x = np.arange(8, dtype=np.float64)
+    data = np.broadcast_to(np.sin(x)[:, None, None] + x[None, None, :], (8, 8, 8))
+    field = structure_tensor_orientation(Volume(GridSpec((8, 8, 8), 1.0), data),
+                                         sigma_g=1.0, rho=1.0)
+    stem = tmp_path / "orient"
+    write_orientation_field(field, stem)
+    raw = tmp_path / "orient.valid.raw"
+    raw.write_bytes(raw.read_bytes()[:509])
+    with pytest.raises(ValueError, match=r"size mismatch in '.*orient\.valid\.raw'"):
+        read_orientation_field(stem)
