@@ -4,7 +4,8 @@ Chains are rendered onto the grid with an integer-only 3D Bresenham walk and
 then expanded by seeded region growing on the gray volume. Growth is
 round-synchronous: every label front advances one 26-connected ring per round,
 and a voxel contested within a round goes to the smallest claiming label id,
-so results do not depend on traversal order.
+so results do not depend on traversal order. One round is one 3x3x3 minimum
+filter over the labels.
 """
 
 from __future__ import annotations
@@ -14,10 +15,23 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
-from .volume import NEIGHBORS_26, GridSpec, LabelVolume, Volume
+from .volume import GridSpec, LabelVolume, Volume
 
+# Stands for "no label" in the minimum filter. scipy passes ``cval`` as a
+# double, so this must stay exactly representable as a float64.
 _UNCLAIMED = np.int64(2**62)
+
+
+def _exact_int(value, what: str) -> int:
+    """``int(value)``, refusing values it would round or parse (0.9, "3")."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -28,16 +42,17 @@ class PolylineAnnotation:
     points: list[tuple[int, int, int]]
 
     def __post_init__(self):
+        self.id = _exact_int(self.id, "annotation id")
         if self.id < 1:
             raise ValueError(f"annotation id must be positive, got {self.id}")
         if len(self.points) < 2:
             raise ValueError(f"annotation {self.id} needs at least 2 points")
         cleaned = []
         for idx, p in enumerate(self.points):
-            p = tuple(int(v) for v in p)
-            if len(p) != 3:
+            if np.ndim(p) != 1 or len(p) != 3:
                 raise ValueError(f"annotation {self.id} point {idx} is not 3D")
-            cleaned.append(p)
+            cleaned.append(tuple(_exact_int(v, f"annotation {self.id} point {idx} coordinate")
+                                 for v in p))
         for idx in range(1, len(cleaned)):
             if cleaned[idx] == cleaned[idx - 1]:
                 raise ValueError(
@@ -49,58 +64,22 @@ def bresenham3d(p0, p1) -> list[tuple[int, int, int]]:
     """Integer voxel walk from p0 to p1 inclusive.
 
     Dominant-axis error accumulation; consecutive voxels are 26-adjacent and
-    the list has max(|dx|, |dy|, |dz|) + 1 entries.
+    the list has n + 1 entries, n = max(|dx|, |dy|, |dz|). Each axis keeps its
+    own error term against n, so an axis with |d| = n steps on every move.
     """
-    x, y, z = (int(v) for v in p0)
-    x1, y1, z1 = (int(v) for v in p1)
-    dx, dy, dz = x1 - x, y1 - y, z1 - z
-    ax, ay, az = abs(dx), abs(dy), abs(dz)
-    sx = (dx > 0) - (dx < 0)
-    sy = (dy > 0) - (dy < 0)
-    sz = (dz > 0) - (dz < 0)
-    points = [(x, y, z)]
-    if ax >= ay and ax >= az:
-        e1 = 2 * ay - ax
-        e2 = 2 * az - ax
-        for _ in range(ax):
-            if e1 > 0:
-                y += sy
-                e1 -= 2 * ax
-            if e2 > 0:
-                z += sz
-                e2 -= 2 * ax
-            e1 += 2 * ay
-            e2 += 2 * az
-            x += sx
-            points.append((x, y, z))
-    elif ay >= az:
-        e1 = 2 * ax - ay
-        e2 = 2 * az - ay
-        for _ in range(ay):
-            if e1 > 0:
-                x += sx
-                e1 -= 2 * ay
-            if e2 > 0:
-                z += sz
-                e2 -= 2 * ay
-            e1 += 2 * ax
-            e2 += 2 * az
-            y += sy
-            points.append((x, y, z))
-    else:
-        e1 = 2 * ax - az
-        e2 = 2 * ay - az
-        for _ in range(az):
-            if e1 > 0:
-                x += sx
-                e1 -= 2 * az
-            if e2 > 0:
-                y += sy
-                e2 -= 2 * az
-            e1 += 2 * ax
-            e2 += 2 * ay
-            z += sz
-            points.append((x, y, z))
+    p = [int(v) for v in p0]
+    d = [int(q) - c for c, q in zip(p, p1, strict=True)]
+    a = [abs(v) for v in d]
+    n = max(a)
+    err = [2 * ak - n for ak in a]
+    points = [tuple(p)]
+    for _ in range(n):
+        for k in range(3):
+            if err[k] > 0:
+                p[k] += 1 if d[k] > 0 else -1
+                err[k] -= 2 * n
+            err[k] += 2 * a[k]
+        points.append(tuple(p))
     return points
 
 
@@ -112,32 +91,20 @@ def render_polylines(annotations: list[PolylineAnnotation],
     voxel already holding a different nonzero id (the first id wins).
     """
     seeds = LabelVolume.zeros(grid)
-    data = seeds.data
-    nx, ny, nz = grid.dims
     conflicts = 0
     for ann in annotations:
         for idx, p in enumerate(ann.points):
-            if not (0 <= p[0] < nx and 0 <= p[1] < ny and 0 <= p[2] < nz):
+            if not all(0 <= c < n for c, n in zip(p, grid.dims)):
                 raise ValueError(
                     f"annotation {ann.id} point {idx} {p} is outside grid dims {grid.dims}")
-        for seg in range(len(ann.points) - 1):
-            for vox in bresenham3d(ann.points[seg], ann.points[seg + 1]):
-                current = int(data[vox])
+        for q0, q1 in zip(ann.points, ann.points[1:]):
+            for vox in bresenham3d(q0, q1):
+                current = int(seeds.data[vox])
                 if current == 0:
-                    data[vox] = ann.id
+                    seeds.data[vox] = ann.id
                 elif current != ann.id:
                     conflicts += 1
     return seeds, conflicts
-
-
-def _neighbor_view(arr: np.ndarray, offset: tuple[int, int, int]):
-    """Views (dst, src) so that dst[v] corresponds to arr[v + offset]."""
-    dst = []
-    src = []
-    for n, o in zip(arr.shape, offset):
-        dst.append(slice(max(0, -o), n - max(0, o)))
-        src.append(slice(max(0, o), n - max(0, -o)))
-    return tuple(dst), tuple(src)
 
 
 def region_grow(gray: Volume, seeds: LabelVolume, threshold: float) -> LabelVolume:
@@ -152,19 +119,16 @@ def region_grow(gray: Volume, seeds: LabelVolume, threshold: float) -> LabelVolu
         raise ValueError(
             f"grid mismatch: gray {gray.grid.dims} vs seeds {seeds.grid.dims}")
     labels = seeds.data.astype(np.int64)
+    labels[labels == 0] = _UNCLAIMED
     eligible = gray.data >= threshold
-    best = np.empty_like(labels)
     while True:
-        best.fill(_UNCLAIMED)
-        for offset in NEIGHBORS_26:
-            dst, src = _neighbor_view(labels, offset)
-            neighbor = labels[src]
-            np.minimum(best[dst], np.where(neighbor > 0, neighbor, _UNCLAIMED),
-                       out=best[dst])
-        claim = (labels == 0) & eligible & (best != _UNCLAIMED)
+        # The window's centre is harmless: every claimable voxel holds _UNCLAIMED.
+        best = ndimage.minimum_filter(labels, size=3, mode="constant", cval=_UNCLAIMED)
+        claim = (labels == _UNCLAIMED) & eligible & (best != _UNCLAIMED)
         if not claim.any():
             break
         labels[claim] = best[claim]
+    labels[labels == _UNCLAIMED] = 0
     return LabelVolume(grid=seeds.grid, data=labels.astype(np.uint32))
 
 
@@ -199,5 +163,8 @@ def read_annotations(path: str | Path) -> list[PolylineAnnotation]:
         raise ValueError(f"bad annotation JSON '{path}': {exc}") from exc
     if not isinstance(payload, list):
         raise ValueError(f"annotation JSON '{path}' must be a list of chains")
+    for idx, entry in enumerate(payload):
+        if not isinstance(entry, dict) or not {"id", "points"} <= entry.keys():
+            raise ValueError(f"annotation JSON '{path}' chain {idx} needs 'id' and 'points'")
     return [PolylineAnnotation(id=entry["id"], points=entry["points"])
             for entry in payload]

@@ -92,6 +92,8 @@ class FiberModel:
     params: ModelParams
     fibers: list[Fiber] = field(default_factory=list)
     attempts_used: int = 0
+    # Why packing ended: "target", "saturated" or "no_length_fits".
+    stop_reason: str = ""
 
     @property
     def volume_fraction(self) -> float:
@@ -251,8 +253,10 @@ def generate_model(params: ModelParams) -> FiberModel:
     Packing stops when the cylinder volume fraction reaches
     ``target_fraction`` or after ``max_attempts`` consecutive rejections
     (saturation guard; ``max_attempts`` 0 means no attempts at all).
-    ``attempts_used`` reports the total placements tried. Deterministic for a
-    given seed.
+    ``attempts_used`` reports the total placements tried and ``stop_reason``
+    the rule that ended the run: "target", "saturated", or "no_length_fits"
+    when the last rejection was a length draw that could not fit the box.
+    Deterministic for a given seed.
     """
     rng = np.random.default_rng(params.seed)
     edge = params.box_edge
@@ -266,7 +270,6 @@ def generate_model(params: ModelParams) -> FiberModel:
     mids = np.empty((cap, 3))
     # Bounding-sphere reach of each accepted fiber: half length + both radii.
     reach = np.empty(cap)
-    lengths = np.empty(cap)
 
     count = 0
     attempts = 0
@@ -274,6 +277,7 @@ def generate_model(params: ModelParams) -> FiberModel:
     total_volume = 0.0
     min_d2 = (2 * radius) ** 2
     pending = None
+    stop_reason = "saturated"
 
     while rejections < params.max_attempts and total_volume / box_volume < target:
         attempts += 1
@@ -282,6 +286,7 @@ def generate_model(params: ModelParams) -> FiberModel:
             length = _sample_length(rng, params, direction)
             if length is None:
                 rejections += 1
+                stop_reason = "no_length_fits"
                 continue
             half = 0.5 * length
             span = half * np.abs(direction)
@@ -300,6 +305,7 @@ def generate_model(params: ModelParams) -> FiberModel:
                 dist2 = segment_distance_sq(p0, p1, p0s[idx], p1s[idx])
                 if dist2.min() < min_d2:
                     rejections += 1
+                    stop_reason = "saturated"
                     continue
         if count == cap:
             cap *= 2
@@ -307,19 +313,20 @@ def generate_model(params: ModelParams) -> FiberModel:
             p1s = np.resize(p1s, (cap, 3))
             mids = np.resize(mids, (cap, 3))
             reach = np.resize(reach, cap)
-            lengths = np.resize(lengths, cap)
         p0s[count] = p0
         p1s[count] = p1
         mids[count] = center
         reach[count] = half + 2 * radius
-        lengths[count] = length
         count += 1
         total_volume += math.pi * radius**2 * length
         pending = None
         rejections = 0
 
+    if total_volume / box_volume >= target:
+        stop_reason = "target"
     fibers = [Fiber(i + 1, p0s[i].copy(), p1s[i].copy(), radius) for i in range(count)]
-    return FiberModel(params=params, fibers=fibers, attempts_used=attempts)
+    return FiberModel(params=params, fibers=fibers, attempts_used=attempts,
+                      stop_reason=stop_reason)
 
 
 def audit_model(model: FiberModel) -> dict:

@@ -241,3 +241,10 @@ def test_console_script_installed():
     assert proc.returncode == 0
     assert proc.stdout.startswith("fibervox ")
     assert "volume format 1" in proc.stdout
+
+
+def test_generate_reports_stop_reason(workdir):
+    root, _, lines = workdir
+    stats = json.loads((root / "stats.json").read_text())
+    assert lines["generate"]["stop_reason"] == stats["stop_reason"]
+    assert stats["stop_reason"] in {"target", "saturated", "no_length_fits"}

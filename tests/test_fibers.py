@@ -307,3 +307,29 @@ def test_csv_header_check(tmp_path):
     path.write_text("id,a,b\n1,2,3\n")
     with pytest.raises(ValueError, match="bad fiber CSV header"):
         read_fibers_csv(path)
+
+
+# ---------------------------------------------------------------- stop reason
+
+
+def test_stop_reason_target():
+    assert generate_model(ModelParams(seed=3, **SMALL)).stop_reason == "target"
+
+
+def test_stop_reason_saturated():
+    params = ModelParams(box_edge=60.0, radius=5.0, mean_length=40.0,
+                         length_stddev=0.0, target_fraction=0.9,
+                         max_attempts=500, seed=1)
+    assert generate_model(params).stop_reason == "saturated"
+
+
+def test_stop_reason_no_length_fits():
+    params = ModelParams(box_edge=100.0, radius=2.0, mean_length=400.0,
+                         length_stddev=0.0, target_fraction=0.5,
+                         max_attempts=50, seed=0)
+    assert generate_model(params).stop_reason == "no_length_fits"
+
+
+def test_fiber_model_constructor_without_stop_reason():
+    m = FiberModel(params=ModelParams())
+    assert m.stop_reason == "" and m.fibers == [] and m.attempts_used == 0

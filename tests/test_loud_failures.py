@@ -1,9 +1,12 @@
 """Inputs and values that used to pass silently now fail loudly or come out
 exact."""
 
+import json
+
 import numpy as np
 import pytest
 
+from fibervox.annotate import PolylineAnnotation, read_annotations
 from fibervox.metrics import _pair_count_sum
 from fibervox.vesselness import (read_orientation_field, structure_tensor_orientation,
                                  write_orientation_field)
@@ -47,3 +50,55 @@ def test_truncated_validity_mask_names_the_file(tmp_path):
     raw.write_bytes(raw.read_bytes()[:509])
     with pytest.raises(ValueError, match=r"size mismatch in '.*orient\.valid\.raw'"):
         read_orientation_field(stem)
+
+
+@pytest.mark.parametrize("chain, message", [
+    ({"id": 1, "points": [[0.9, 0, 0], [2, 0, 0]]},
+     "annotation 1 point 0 coordinate must be an integer, got 0.9"),
+    ({"id": 1, "points": [[0, 0, 0], ["3", 0, 0]]},
+     "annotation 1 point 1 coordinate must be an integer, got '3'"),
+    ({"id": 1.5, "points": [[0, 0, 0], [1, 0, 0]]},
+     "annotation id must be an integer, got 1.5"),
+    ({"id": "2", "points": [[0, 0, 0], [1, 0, 0]]},
+     "annotation id must be an integer, got '2'"),
+    ({"id": 1, "points": [[0, 0, 0], [1, None, 0]]},
+     "annotation 1 point 1 coordinate must be an integer, got None"),
+])
+def test_annotation_rejects_non_integer_values(chain, message):
+    with pytest.raises(ValueError) as err:
+        PolylineAnnotation(**chain)
+    assert str(err.value) == message
+
+
+def test_annotation_accepts_integral_values():
+    a = PolylineAnnotation(id=np.int64(4), points=[(np.int64(1), 2.0, 3), [0, 0, 0]])
+    assert a.id == 4 and type(a.id) is int
+    assert a.points == [(1, 2, 3), (0, 0, 0)]
+    assert all(type(c) is int for p in a.points for c in p)
+
+
+@pytest.mark.parametrize("entry", [
+    [[0, 0, 0], [1, 0, 0]],
+    {"points": [[0, 0, 0], [1, 0, 0]]},
+    {"id": 2},
+])
+def test_read_annotations_names_file_and_chain(tmp_path, entry):
+    path = tmp_path / "chains.json"
+    good = {"id": 1, "points": [[0, 0, 0], [1, 0, 0]]}
+    path.write_text(json.dumps([good, entry]))
+    with pytest.raises(ValueError) as err:
+        read_annotations(path)
+    assert str(err.value) == f"annotation JSON '{path}' chain 1 needs 'id' and 'points'"
+
+
+def test_annotate_cli_reports_bad_chain(tmp_path):
+    grid = GridSpec(dims=(4, 4, 4), voxel_size=1.0)
+    write_volume(Volume(grid=grid, data=np.ones(grid.dims)), tmp_path / "gray")
+    chains = tmp_path / "chains.json"
+    chains.write_text(json.dumps([{"id": 1.5, "points": [[0, 0, 0], [1, 0, 0]]}]))
+    code, out, err = run_cli("annotate", "--gray", str(tmp_path / "gray"),
+                             "--annotations", str(chains),
+                             "--output", str(tmp_path / "anno"))
+    assert code == 1 and out == ""
+    assert err.strip() == "error stage=annotate: annotation id must be an integer, got 1.5"
+    assert not (tmp_path / "anno.raw").exists()
