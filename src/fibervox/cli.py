@@ -98,6 +98,8 @@ def _cmd_generate(args, cfg: PipelineConfig, out: _Outputs) -> None:
     payload = stats.to_dict()
     payload["attempts_used"] = model.attempts_used
     payload["stop_reason"] = model.stop_reason
+    stalled = {"stalled": model.stalled} if model.stalled else {}
+    payload.update(stalled)
     payload["length_hist"] = _length_histogram(f.length for f in model.fibers)
     if args.audit:
         payload["audit"] = audit_model(model)
@@ -106,7 +108,7 @@ def _cmd_generate(args, cfg: PipelineConfig, out: _Outputs) -> None:
     stats_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _summary(stage="generate", fibers=stats.fiber_count,
              volume_fraction=stats.volume_fraction,
-             attempts_used=model.attempts_used, stop_reason=model.stop_reason)
+             attempts_used=model.attempts_used, stop_reason=model.stop_reason, **stalled)
 
 
 def _cmd_rasterize(args, cfg: PipelineConfig, out: _Outputs) -> None:

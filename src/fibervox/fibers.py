@@ -9,6 +9,7 @@ and slightly conservative near fiber ends.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +22,9 @@ EPOXY_DENSITY = 1.31
 
 THETA_BINS = 18  # 5 degree bins over [0, 90]
 PHI_BINS = 36    # 10 degree bins over [0, 360)
+
+_AXIS_STEP = 20.0  # packer: spacing of a fiber's axis samples, micrometers
+_MAX_BATCH = 64    # packer: most offers tested in one batch
 
 
 @dataclass
@@ -94,6 +98,9 @@ class FiberModel:
     attempts_used: int = 0
     # Why packing ended: "target", "saturated" or "no_length_fits".
     stop_reason: str = ""
+    # The pending fiber of a "saturated" run: length_um, direction and the
+    # box [center_lo_um, center_hi_um] its center was drawn from.
+    stalled: dict | None = None
 
     @property
     def volume_fraction(self) -> float:
@@ -167,6 +174,11 @@ def _fiber_arrays(fibers: list[Fiber]) -> tuple[np.ndarray, np.ndarray, np.ndarr
             np.array([f.radius for f in fibers]).reshape(n))
 
 
+def _clamp01(x):
+    # np.clip's dispatch costs more than the work on the short arrays here.
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
 def segment_distance_sq(p0, p1, q0, q1) -> np.ndarray:
     """Squared minimum distance between segments [p0,p1] and [q0,q1].
 
@@ -196,17 +208,17 @@ def segment_distance_sq(p0, p1, q0, q1) -> np.ndarray:
     denom = a * e - b * b
     parallel = denom <= tiny * sa * se
     s = np.where(parallel, 0.0,
-                 np.clip((b * f - c * e) / np.where(parallel, 1.0, denom), 0.0, 1.0))
+                 _clamp01((b * f - c * e) / np.where(parallel, 1.0, denom)))
     t = (b * s + f) / se
     # Re-clamp: if t left [0,1], pin it and recompute the closest s.
-    s = np.where(t < 0.0, np.clip(-c / sa, 0.0, 1.0),
-                 np.where(t > 1.0, np.clip((b - c) / sa, 0.0, 1.0), s))
-    t = np.clip(t, 0.0, 1.0)
+    s = np.where(t < 0.0, _clamp01(-c / sa),
+                 np.where(t > 1.0, _clamp01((b - c) / sa), s))
+    t = _clamp01(t)
     # Degenerate segments reduce to point-segment / point-point cases.
     s = np.where(a_deg, 0.0, s)
-    t = np.where(a_deg & ~e_deg, np.clip(f / se, 0.0, 1.0), t)
+    t = np.where(a_deg & ~e_deg, _clamp01(f / se), t)
     t = np.where(e_deg, 0.0, t)
-    s = np.where(e_deg & ~a_deg, np.clip(-c / sa, 0.0, 1.0), s)
+    s = np.where(e_deg & ~a_deg, _clamp01(-c / sa), s)
 
     diff = (p0 + s[..., None] * d1) - (q0 + t[..., None] * d2)
     return np.einsum("...i,...i->...", diff, diff)
@@ -241,6 +253,49 @@ def _sample_length(rng: np.random.Generator, params: ModelParams, direction: np.
     return None
 
 
+class _CellTable:
+    """Linked cell lists for the packer (Allen & Tildesley, ch. 5): nc^3 cubic
+    cells of edge h >= 2r + s, each a row of fiber indices padded with -1.
+    A fiber is known by its axis samples, spaced at most s apart, and is
+    registered in the 3x3x3 neighbourhood of each sample's cell. Capsules
+    closer than 2r have samples closer than 2r + s <= h, in neighbouring
+    cells, so an offer's own sample cells hold every fiber it can overlap."""
+
+    def __init__(self, edge: float, radius: float):
+        self.nc = max(1, int(edge // (2 * radius + _AXIS_STEP)))
+        self.h = edge / self.nc
+        self.table = np.full((self.nc**3, 8), -1, dtype=np.int32)
+        self.fill = np.zeros(self.nc**3, dtype=np.intp)
+        self.width = 0  # the fullest cell's fill
+        self.flat = np.array([self.nc**2, self.nc, 1])
+        self.near = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+
+    def _ijk(self, points: np.ndarray) -> np.ndarray:
+        return np.minimum((points / self.h).astype(np.intp), self.nc - 1)
+
+    def add(self, index: int, samples: np.ndarray) -> None:
+        """Register fiber ``index`` by its axis samples (m, 3)."""
+        near = np.clip(self._ijk(samples)[:, None] + self.near, 0, self.nc - 1)
+        cells = np.unique(near @ self.flat)
+        slots = self.fill[cells]
+        if slots.max() == self.table.shape[1]:  # a cell is full: double the rows
+            self.table = np.pad(self.table, ((0, 0), (0, self.table.shape[1])),
+                                constant_values=-1)
+        self.table[cells, slots] = index
+        self.fill[cells] += 1
+        self.width = max(self.width, int(slots.max()) + 1)
+
+    def candidates(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(offer row, fiber index) pairs, each once, for offers sampled as
+        (K, m, 3): the fibers registered in each offer's sample cells."""
+        found = self.table[self._ijk(samples) @ self.flat, :self.width].reshape(len(samples), -1)
+        found.sort(axis=1)
+        keep = found >= 0
+        keep[:, 1:] &= found[:, 1:] != found[:, :-1]
+        rows, cols = np.nonzero(keep)
+        return rows, found[rows, cols]
+
+
 def generate_model(params: ModelParams) -> FiberModel:
     """Pack random fibers into the box by sequential rejection sampling.
 
@@ -256,7 +311,11 @@ def generate_model(params: ModelParams) -> FiberModel:
     ``attempts_used`` reports the total placements tried and ``stop_reason``
     the rule that ended the run: "target", "saturated", or "no_length_fits"
     when the last rejection was a length draw that could not fit the box.
-    Deterministic for a given seed.
+    A "saturated" model names the fiber that stalled in ``stalled``.
+    Deterministic for a given seed: offers are drawn and tested in batches
+    against a :class:`_CellTable`, and the generator is rewound to just past
+    the first accepted offer, so the model is the one that offering one
+    center at a time gives.
     """
     rng = np.random.default_rng(params.seed)
     edge = params.box_edge
@@ -267,9 +326,7 @@ def generate_model(params: ModelParams) -> FiberModel:
     cap = 4096
     p0s = np.empty((cap, 3))
     p1s = np.empty((cap, 3))
-    mids = np.empty((cap, 3))
-    # Bounding-sphere reach of each accepted fiber: half length + both radii.
-    reach = np.empty(cap)
+    cells = _CellTable(edge, radius)
 
     count = 0
     attempts = 0
@@ -278,55 +335,68 @@ def generate_model(params: ModelParams) -> FiberModel:
     min_d2 = (2 * radius) ** 2
     pending = None
     stop_reason = "saturated"
+    batch = 1
 
     while rejections < params.max_attempts and total_volume / box_volume < target:
-        attempts += 1
         if pending is None:
             direction = _sample_direction(rng)
             length = _sample_length(rng, params, direction)
             if length is None:
+                attempts += 1
                 rejections += 1
                 stop_reason = "no_length_fits"
                 continue
             half = 0.5 * length
             span = half * np.abs(direction)
-            pending = (direction, length, half, radius + span, edge - radius - span)
-        direction, length, half, c_lo, c_hi = pending
-        center = rng.uniform(c_lo, c_hi)
-        p0 = center - half * direction
-        p1 = center + half * direction
-        if count:
-            # Bounding-sphere prefilter on midpoints, then the exact capsule test.
-            diff = mids[:count] - center
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            near = d2 < (reach[:count] + half) ** 2
-            if near.any():
-                idx = np.nonzero(near)[0]
-                dist2 = segment_distance_sq(p0, p1, p0s[idx], p1s[idx])
-                if dist2.min() < min_d2:
-                    rejections += 1
-                    stop_reason = "saturated"
-                    continue
+            axis = np.linspace(-half, half, math.ceil(length / _AXIS_STEP) + 1)[:, None] \
+                * direction
+            pending = (direction, length, half, radius + span, edge - radius - span, axis)
+        direction, length, half, c_lo, c_hi, axis = pending
+        k = min(batch, params.max_attempts - rejections)
+        state = rng.bit_generator.state if k > 1 else None
+        centers = rng.uniform(c_lo, c_hi, size=(k, 3))
+        p0 = centers - half * direction
+        p1 = centers + half * direction
+        offer, other = cells.candidates(centers[:, None, :] + axis)
+        rejected = np.zeros(k, dtype=bool)
+        if len(offer):
+            dist2 = segment_distance_sq(p0[offer], p1[offer], p0s[other], p1s[other])
+            rejected[offer[dist2 < min_d2]] = True
+        if rejected.all():
+            attempts += k
+            rejections += k
+            stop_reason = "saturated"
+            batch = min(2 * batch, _MAX_BATCH)
+            continue
+        i = int(np.argmin(rejected))
+        if i + 1 < k:
+            # Rewind to where offering centers one at a time would stop.
+            rng.bit_generator.state = state
+            rng.bit_generator.advance(3 * (i + 1))
+        attempts += i + 1
         if count == cap:
             cap *= 2
             p0s = np.resize(p0s, (cap, 3))
             p1s = np.resize(p1s, (cap, 3))
-            mids = np.resize(mids, (cap, 3))
-            reach = np.resize(reach, cap)
-        p0s[count] = p0
-        p1s[count] = p1
-        mids[count] = center
-        reach[count] = half + 2 * radius
+        p0s[count] = p0[i]
+        p1s[count] = p1[i]
+        cells.add(count, centers[i] + axis)
         count += 1
         total_volume += math.pi * radius**2 * length
         pending = None
         rejections = 0
+        batch = max(1, batch // 2)
 
     if total_volume / box_volume >= target:
         stop_reason = "target"
+    stalled = None
+    if stop_reason == "saturated" and pending:
+        direction, length, _, c_lo, c_hi, _ = pending
+        stalled = {"length_um": float(length), "direction": direction.tolist(),
+                   "center_lo_um": c_lo.tolist(), "center_hi_um": c_hi.tolist()}
     fibers = [Fiber(i + 1, p0s[i].copy(), p1s[i].copy(), radius) for i in range(count)]
     return FiberModel(params=params, fibers=fibers, attempts_used=attempts,
-                      stop_reason=stop_reason)
+                      stop_reason=stop_reason, stalled=stalled)
 
 
 def audit_model(model: FiberModel) -> dict:

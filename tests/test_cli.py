@@ -248,3 +248,23 @@ def test_generate_reports_stop_reason(workdir):
     stats = json.loads((root / "stats.json").read_text())
     assert lines["generate"]["stop_reason"] == stats["stop_reason"]
     assert stats["stop_reason"] in {"target", "saturated", "no_length_fits"}
+
+
+def test_generate_reports_stalled_fiber(tmp_path, workdir):
+    cfg = {"model": {"box_edge": 60.0, "radius": 5.0, "mean_length": 40.0,
+                     "length_stddev": 0.0, "target_fraction": 0.9,
+                     "max_attempts": 500, "seed": 1}}
+    cfg_path = tmp_path / "saturated.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli("generate", "--config", str(cfg_path), "--out-dir", str(tmp_path))
+    assert code == 0, err
+    summary = json.loads(out)
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    assert summary["stop_reason"] == stats["stop_reason"] == "saturated"
+    assert summary["stalled"] == stats["stalled"]
+    assert stats["stalled"]["length_um"] == 40.0
+    # a run that meets its target names no stalled fiber
+    root, _, lines = workdir
+    assert lines["generate"]["stop_reason"] == "target"
+    assert "stalled" not in lines["generate"]
+    assert "stalled" not in json.loads((root / "stats.json").read_text())

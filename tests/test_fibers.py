@@ -333,3 +333,18 @@ def test_stop_reason_no_length_fits():
 def test_fiber_model_constructor_without_stop_reason():
     m = FiberModel(params=ModelParams())
     assert m.stop_reason == "" and m.fibers == [] and m.attempts_used == 0
+
+
+def test_saturated_model_names_stalled_fiber():
+    params = ModelParams(box_edge=60.0, radius=5.0, mean_length=40.0,
+                         length_stddev=0.0, target_fraction=0.9,
+                         max_attempts=500, seed=1)
+    stalled = generate_model(params).stalled
+    assert stalled["length_um"] == 40.0
+    direction = np.array(stalled["direction"])
+    assert np.linalg.norm(direction) == pytest.approx(1.0)
+    # the feasible center box keeps the capsule inside: r + L/2 |d| from each face
+    lo = 5.0 + 20.0 * np.abs(direction)
+    np.testing.assert_allclose(stalled["center_lo_um"], lo)
+    np.testing.assert_allclose(stalled["center_hi_um"], 60.0 - lo)
+    assert generate_model(ModelParams(seed=3, **SMALL)).stalled is None
