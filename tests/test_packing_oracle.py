@@ -6,8 +6,10 @@ accepted fiber whose bounding sphere it can reach. The packer must give the
 same model, attempt count and stop reason, fiber for fiber and bit for bit.
 """
 
+import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from fibervox.config import PipelineConfig
 from fibervox.fibers import (
+    _AXIS_STEP,
     ModelParams,
     _CellTable,
     _sample_direction,
@@ -25,7 +28,7 @@ from fibervox.fibers import (
 )
 from test_fibers import SMALL
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPO = Path(__file__).resolve().parents[1]
 
 SATURATION = dict(box_edge=60.0, radius=5.0, mean_length=40.0, length_stddev=0.0,
                   target_fraction=0.9, max_attempts=500, seed=1)
@@ -38,8 +41,13 @@ def _reference_generate(params: ModelParams):
     rng = np.random.default_rng(params.seed)
     edge = params.box_edge
     radius = params.radius
-    p0s, p1s, mids, reach = [], [], [], []
-    attempts = rejections = 0
+    cap = 4096
+    p0s = np.empty((cap, 3))
+    p1s = np.empty((cap, 3))
+    mids = np.empty((cap, 3))
+    # Bounding-sphere reach of each accepted fiber: half length + both radii.
+    reach = np.empty(cap)
+    count = attempts = rejections = 0
     total_volume = 0.0
     pending = None
     stop_reason = "saturated"
@@ -59,27 +67,29 @@ def _reference_generate(params: ModelParams):
         center = rng.uniform(c_lo, c_hi)
         p0 = center - half * direction
         p1 = center + half * direction
-        if p0s:
-            diff = np.array(mids) - center
-            near = np.einsum("ij,ij->i", diff, diff) < (np.array(reach) + half) ** 2
+        if count:
+            diff = mids[:count] - center
+            near = np.einsum("ij,ij->i", diff, diff) < (reach[:count] + half) ** 2
             if near.any():
                 idx = np.nonzero(near)[0]
-                dist2 = segment_distance_sq(p0, p1, np.array(p0s)[idx], np.array(p1s)[idx])
+                dist2 = segment_distance_sq(p0, p1, p0s[idx], p1s[idx])
                 if dist2.min() < (2 * radius) ** 2:
                     rejections += 1
                     stop_reason = "saturated"
                     continue
-        p0s.append(p0)
-        p1s.append(p1)
-        mids.append(center)
-        reach.append(half + 2 * radius)
+        if count == cap:
+            cap *= 2
+            p0s, p1s = np.resize(p0s, (cap, 3)), np.resize(p1s, (cap, 3))
+            mids, reach = np.resize(mids, (cap, 3)), np.resize(reach, cap)
+        p0s[count], p1s[count], mids[count] = p0, p1, center
+        reach[count] = half + 2 * radius
+        count += 1
         total_volume += math.pi * radius**2 * length
         pending = None
         rejections = 0
     if total_volume / edge**3 >= params.target_fraction:
         stop_reason = "target"
-    return (np.array(p0s).reshape(-1, 3), np.array(p1s).reshape(-1, 3),
-            attempts, stop_reason)
+    return p0s[:count], p1s[:count], attempts, stop_reason
 
 
 def assert_same_model(params: ModelParams):
@@ -121,10 +131,8 @@ def test_batch_cap_matches_reference(max_attempts):
 @pytest.mark.skipif(os.environ.get("FIBERVOX_SLOW") != "1",
                     reason="set FIBERVOX_SLOW=1 to pack table1 at vf 0.03 (~15 s)")
 def test_table1_vf003_matches_reference():
-    cfg = PipelineConfig.load(os.path.join(REPO, "configs", "table1.json"))
-    params = cfg.model_params()
-    kw = {name: getattr(params, name) for name in params.__dataclass_fields__}
-    assert_same_model(ModelParams(**{**kw, "target_fraction": 0.03, "seed": 0}))
+    params = PipelineConfig.load(REPO / "configs" / "table1.json").model_params()
+    assert_same_model(dataclasses.replace(params, target_fraction=0.03, seed=0))
 
 
 # ---------------------------------------------------------------- cell superset
@@ -132,7 +140,7 @@ def test_table1_vf003_matches_reference():
 
 def _axis_samples(p0, p1):
     length = float(np.linalg.norm(p1 - p0))
-    t = np.linspace(0.0, 1.0, math.ceil(length / 20.0) + 1)[:, None]
+    t = np.linspace(0.0, 1.0, math.ceil(length / _AXIS_STEP) + 1)[:, None]
     return p0 + t * (p1 - p0)
 
 
