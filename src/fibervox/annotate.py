@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
+from .fibers import _fiber_arrays
 from .volume import GridSpec, LabelVolume, Volume
 
 # Stands for "no label" in the minimum filter. scipy passes ``cval`` as a
@@ -138,16 +139,11 @@ def annotations_from_fibers(fibers, grid: GridSpec) -> list[PolylineAnnotation]:
     Endpoints map to the nearest voxel center and are clamped into the grid;
     fibers whose endpoints collapse onto one voxel are skipped.
     """
-    h = grid.voxel_size
-    bounds = np.asarray(grid.dims) - 1
-    chains = []
-    for fiber in fibers:
-        a = np.clip(np.round(np.asarray(fiber.p0) / h - 0.5).astype(int), 0, bounds)
-        b = np.clip(np.round(np.asarray(fiber.p1) / h - 0.5).astype(int), 0, bounds)
-        if (a == b).all():
-            continue
-        chains.append(PolylineAnnotation(id=fiber.id, points=[tuple(a), tuple(b)]))
-    return chains
+    p0, p1, _ = _fiber_arrays(fibers)
+    ends = np.clip(np.round(np.stack([p0, p1]) / grid.voxel_size - 0.5).astype(int),
+                   0, np.asarray(grid.dims) - 1).tolist()
+    return [PolylineAnnotation(id=fiber.id, points=[tuple(a), tuple(b)])
+            for fiber, a, b in zip(fibers, *ends) if a != b]
 
 
 def write_annotations(annotations: list[PolylineAnnotation], path: str | Path) -> None:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from .fibers import FiberModel
+from .fibers import FiberModel, _fiber_arrays
 from .volume import GridSpec, LabelVolume, Volume, _write_raw
 
 
@@ -64,17 +65,6 @@ def _axis_centers(grid: GridSpec):
     )
 
 
-def _capsule_bbox(fiber, grid: GridSpec):
-    h = grid.voxel_size
-    lo = np.minimum(fiber.p0, fiber.p1) - fiber.radius
-    hi = np.maximum(fiber.p0, fiber.p1) + fiber.radius
-    first = np.maximum(np.floor(lo / h - 0.5).astype(int), 0)
-    last = np.minimum(np.ceil(hi / h - 0.5).astype(int), np.asarray(grid.dims) - 1)
-    if (first > last).any():
-        return None
-    return first, last
-
-
 def _segment_point_dist_sq(p0, axis, inv_len_sq, px, py, pz):
     """Squared distance from points to the segment p0 + t*axis, t in [0,1].
 
@@ -90,26 +80,26 @@ def _segment_point_dist_sq(p0, axis, inv_len_sq, px, py, pz):
     return dx * dx + dy * dy + dz * dz
 
 
-def _capsule_voxels(fiber, grid: GridSpec, centers):
-    """The voxels near one fiber, or None if its capsule misses the grid.
-
-    Returns ``(box, d2, dist_sq)``: the index slices of the capsule's bounding
-    box, the squared distance of each box voxel center (``centers`` are the
-    per-axis voxel centers) to the fiber axis, and ``dist_sq(px, py, pz)``
-    giving that distance for any broadcastable point coordinates.
-    """
-    bbox = _capsule_bbox(fiber, grid)
-    if bbox is None:
-        return None
-    box = tuple(slice(a, b + 1) for a, b in zip(*bbox))
-    axis = fiber.p1 - fiber.p0
-    inv_len_sq = 1.0 / float(axis @ axis)
-
-    def dist_sq(px, py, pz):
-        return _segment_point_dist_sq(fiber.p0, axis, inv_len_sq, px, py, pz)
-
-    cx, cy, cz = (c[s] for c, s in zip(centers, box))
-    return box, dist_sq(cx[:, None, None], cy[None, :, None], cz[None, None, :]), dist_sq
+def _capsules(fibers, grid: GridSpec):
+    """Yield ``(fiber, box, d2, dist_sq)`` for each fiber whose capsule meets
+    the grid: the index slices of the capsule's bounding box, the squared
+    distance of each box voxel center to the fiber axis, and
+    ``dist_sq(px, py, pz)`` giving that distance for any broadcastable point
+    coordinates. All bounding boxes come from one array expression."""
+    p0, p1, radii = _fiber_arrays(fibers)
+    h = grid.voxel_size
+    first = np.maximum(np.floor((np.minimum(p0, p1) - radii[:, None]) / h - 0.5).astype(int), 0)
+    last = np.minimum(np.ceil((np.maximum(p0, p1) + radii[:, None]) / h - 0.5).astype(int),
+                      np.asarray(grid.dims) - 1)
+    centers = _axis_centers(grid)
+    for fiber, lo, hi in zip(fibers, first.tolist(), last.tolist()):
+        if any(a > b for a, b in zip(lo, hi)):
+            continue
+        box = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+        axis = fiber.p1 - fiber.p0
+        dist_sq = partial(_segment_point_dist_sq, fiber.p0, axis, 1.0 / float(axis @ axis))
+        cx, cy, cz = (c[s] for c, s in zip(centers, box))
+        yield fiber, box, dist_sq(cx[:, None, None], cy[None, :, None], cz[None, None, :]), dist_sq
 
 
 def rasterize_labels(m: FiberModel, grid: GridSpec) -> tuple[LabelVolume, int]:
@@ -119,13 +109,8 @@ def rasterize_labels(m: FiberModel, grid: GridSpec) -> tuple[LabelVolume, int]:
     """
     _check_grid_covers(grid, m.params.box_edge)
     labels = LabelVolume.zeros(grid)
-    centers = _axis_centers(grid)
     conflicts = 0
-    for fiber in sorted(m.fibers, key=lambda f: f.id):
-        near = _capsule_voxels(fiber, grid, centers)
-        if near is None:
-            continue
-        box, d2, _ = near
+    for fiber, box, d2, _ in _capsules(sorted(m.fibers, key=lambda f: f.id), grid):
         inside = d2 <= fiber.radius**2
         region = labels.data[box]
         taken = region != 0
@@ -161,11 +146,7 @@ def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
     offsets = np.stack(np.meshgrid(sub, sub, sub, indexing="ij"), axis=-1).reshape(-1, 3)
     half_diag = 0.5 * h * math.sqrt(3.0)
 
-    for fiber in m.fibers:
-        near = _capsule_voxels(fiber, grid, centers)
-        if near is None:
-            continue
-        box, d2, dist_sq = near
+    for fiber, box, d2, dist_sq in _capsules(m.fibers, grid):
         dist = np.sqrt(d2)
         region = counts[box]
         region[dist <= fiber.radius - half_diag] = s3

@@ -8,7 +8,6 @@ and slightly conservative near fiber ends.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,6 +24,10 @@ PHI_BINS = 36    # 10 degree bins over [0, 360)
 
 _AXIS_STEP = 20.0  # packer: spacing of a fiber's axis samples, micrometers
 _MAX_BATCH = 64    # packer: most offers tested in one batch
+
+# fibers.csv: the header line, then one row per fiber (an id and seven floats).
+_CSV_HEADER = "id,x0,y0,z0,x1,y1,z1,radius_um"
+_CSV_ROW = np.dtype([("id", "i8"), ("p0", "f8", 3), ("p1", "f8", 3), ("radius", "f8")])
 
 
 @dataclass
@@ -472,22 +475,27 @@ def write_fibers_csv(fibers: list[Fiber], path: str | Path) -> None:
     """Write the fiber list as CSV: id,x0,y0,z0,x1,y1,z1,radius_um (6 decimals)."""
     table = np.column_stack([[f.id for f in fibers], *_fiber_arrays(fibers)])
     np.savetxt(path, table, fmt=["%d"] + ["%.6f"] * 7, delimiter=",",
-               header="id,x0,y0,z0,x1,y1,z1,radius_um", comments="")
+               header=_CSV_HEADER, comments="")
 
 
 def read_fibers_csv(path: str | Path) -> list[Fiber]:
+    """Read a fiber list written by :func:`write_fibers_csv`. Ids must be
+    unique positive integers."""
     path = Path(path)
-    fibers = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["id", "x0", "y0", "z0", "x1", "y1", "z1", "radius_um"]
-        if reader.fieldnames != expected:
-            raise ValueError(f"bad fiber CSV header in '{path}': {reader.fieldnames}")
-        for row in reader:
-            fibers.append(Fiber(
-                id=int(row["id"]),
-                p0=[float(row["x0"]), float(row["y0"]), float(row["z0"])],
-                p1=[float(row["x1"]), float(row["y1"]), float(row["z1"])],
-                radius=float(row["radius_um"]),
-            ))
+    with path.open() as fh:
+        header = fh.readline().rstrip("\r\n")
+        if header != _CSV_HEADER:
+            raise ValueError(f"bad fiber CSV header in '{path}': {header!r}")
+        rows = fh.readlines()
+    if not rows:  # np.loadtxt warns on empty input
+        return []
+    try:
+        table = np.loadtxt(rows, dtype=_CSV_ROW, delimiter=",", ndmin=1)
+        fibers = [Fiber(*row) for row in zip(table["id"].tolist(), table["p0"], table["p1"],
+                                              table["radius"].tolist())]
+    except ValueError as exc:
+        raise ValueError(f"bad fiber CSV '{path}': {exc}") from exc
+    ids, counts = np.unique(table["id"], return_counts=True)
+    if (counts > 1).any():
+        raise ValueError(f"duplicate fiber id {ids[counts > 1][0]} in '{path}'")
     return fibers

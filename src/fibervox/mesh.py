@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fibers import _fiber_arrays
+
 _TRI_DTYPE = np.dtype([
     ("normal", "<f4", 3),
     ("v0", "<f4", 3),
@@ -18,52 +20,42 @@ _HEADER = b"fibervox cylinder mesh (binary stl)"
 
 
 def _frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right-handed orthonormal pair (e1, e2) with e1 x e2 = axis."""
-    helper = np.zeros(3)
-    helper[np.argmin(np.abs(axis))] = 1.0
+    """Right-handed orthonormal pairs (e1, e2) with e1 x e2 = axis, for unit
+    axes (..., 3)."""
+    helper = np.zeros_like(axis)
+    np.put_along_axis(helper, np.argmin(np.abs(axis), axis=-1)[..., None], 1.0, axis=-1)
     e1 = np.cross(axis, helper)
-    e1 /= np.linalg.norm(e1)
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
     e2 = np.cross(axis, e1)
     return e1, e2
 
 
-def cylinder_triangles(p0, p1, radius: float, sides: int) -> np.ndarray:
-    """Triangles (t, 3, 3) float32 of a closed cylinder with ``sides`` side
-    quads (2 triangles each) and two cap fans (``sides`` triangles each).
+def cylinder_triangles(p0, p1, radius, sides: int) -> np.ndarray:
+    """Triangles (..., t, 3, 3) float32 of closed cylinders with ``sides``
+    side quads (2 triangles each) and two cap fans (``sides`` triangles each),
+    for endpoints (..., 3) and radii (...).
 
     Ring vertices are computed once and cast to float32 once, so every edge is
     shared bitwise-exactly by its two incident triangles (watertight mesh).
     Outward winding throughout (counter-clockwise seen from outside).
     """
-    p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
+    p0 = np.asarray(p0, dtype=np.float64)[..., None, :]
+    p1 = np.asarray(p1, dtype=np.float64)[..., None, :]
     axis = p1 - p0
-    length = np.linalg.norm(axis)
-    axis = axis / length
-    e1, e2 = _frame(axis)
+    e1, e2 = _frame(axis / np.linalg.norm(axis, axis=-1, keepdims=True))
 
     ang = 2.0 * np.pi * np.arange(sides) / sides
-    offsets = radius * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
-    ring0 = (p0 + offsets).astype(np.float32)
-    ring1 = (p1 + offsets).astype(np.float32)
-    c0 = p0.astype(np.float32)
-    c1 = p1.astype(np.float32)
-
-    nxt = np.roll(np.arange(sides), -1)
-    tris = np.empty((4 * sides, 3, 3), dtype=np.float32)
-    tris[0:sides, 0] = ring0
-    tris[0:sides, 1] = ring0[nxt]
-    tris[0:sides, 2] = ring1[nxt]
-    tris[sides:2 * sides, 0] = ring0
-    tris[sides:2 * sides, 1] = ring1[nxt]
-    tris[sides:2 * sides, 2] = ring1
-    tris[2 * sides:3 * sides, 0] = c0
-    tris[2 * sides:3 * sides, 1] = ring0[nxt]
-    tris[2 * sides:3 * sides, 2] = ring0
-    tris[3 * sides:4 * sides, 0] = c1
-    tris[3 * sides:4 * sides, 1] = ring1
-    tris[3 * sides:4 * sides, 2] = ring1[nxt]
-    return tris
+    offsets = np.asarray(radius)[..., None, None] \
+        * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
+    # Vertices: the ring around p0 is 0..sides-1, the ring around p1
+    # sides..2*sides-1, the cap centers p0 and p1 are 2*sides and 2*sides+1.
+    verts = np.concatenate([p0 + offsets, p1 + offsets, p0, p1], axis=-2).astype(np.float32)
+    i = np.arange(sides)
+    j = np.roll(i, -1)
+    c = np.full(sides, 2 * sides)
+    faces = np.concatenate([np.stack(f, axis=-1) for f in (
+        (i, j, sides + j), (i, sides + j, sides + i), (c, j, i), (c + 1, sides + i, sides + j))])
+    return verts[..., faces, :]
 
 
 def _facet_normals(tris: np.ndarray) -> np.ndarray:
@@ -82,14 +74,8 @@ def export_stl(model, segments_per_circle: int = 24) -> bytes:
     """
     if segments_per_circle < 3:
         raise ValueError(f"segments_per_circle must be >= 3, got {segments_per_circle}")
-    fibers = getattr(model, "fibers", model)
-
-    chunks = [cylinder_triangles(f.p0, f.p1, f.radius, segments_per_circle)
-              for f in fibers]
-    if chunks:
-        tris = np.concatenate(chunks, axis=0)
-    else:
-        tris = np.empty((0, 3, 3), dtype=np.float32)
+    p0, p1, radii = _fiber_arrays(getattr(model, "fibers", model))
+    tris = cylinder_triangles(p0, p1, radii, segments_per_circle).reshape(-1, 3, 3)
 
     record = np.empty(len(tris), dtype=_TRI_DTYPE)
     record["normal"] = _facet_normals(tris)

@@ -15,15 +15,12 @@ import numpy as np
 from .volume import LabelVolume
 
 
-def _label_data(x, name: str) -> np.ndarray:
-    if isinstance(x, LabelVolume):
-        return x.data
-    return np.asarray(x)
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
+def _labelings(truth, pred) -> tuple[np.ndarray, np.ndarray]:
+    """The label arrays of two same-shape labelings (volumes or arrays)."""
+    a, b = (x.data if isinstance(x, LabelVolume) else np.asarray(x) for x in (truth, pred))
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -88,9 +85,7 @@ def dice(truth, pred) -> float:
 
     Values must be 0 or 1. Both masks empty returns 1.0 by convention.
     """
-    a = _label_data(truth, "truth")
-    b = _label_data(pred, "pred")
-    _check_same_shape(a, b)
+    a, b = _labelings(truth, pred)
     if a.max(initial=0) > 1 or b.max(initial=0) > 1:
         raise ValueError("dice requires binary masks with values in {0, 1}")
     return _overlap(a, b)[0]
@@ -103,9 +98,7 @@ def contingency_table(truth, pred, ignore_background: bool = True) -> Contingenc
     label is nonzero; otherwise all voxels count and label 0 forms an ordinary
     cluster in each partition.
     """
-    a = _label_data(truth, "truth")
-    b = _label_data(pred, "pred")
-    _check_same_shape(a, b)
+    a, b = _labelings(truth, pred)
     if ignore_background:
         domain = a != 0
         a = a[domain]
@@ -154,9 +147,7 @@ def adjusted_rand_index(truth, pred, ignore_background: bool = True) -> float:
 
 def evaluate(truth, pred, ignore_background: bool = True) -> MetricReport:
     """Full report: Dice on the binarized masks plus ARI on the labelings."""
-    a = _label_data(truth, "truth")
-    b = _label_data(pred, "pred")
-    _check_same_shape(a, b)
+    a, b = _labelings(truth, pred)
     dice_value, tp, fp, fn = _overlap(a, b)
     ari_value = adjusted_rand_index(a, b, ignore_background=ignore_background)
     return MetricReport(dice=dice_value, ari=ari_value, tp=tp, fp=fp, fn=fn,

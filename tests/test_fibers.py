@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,3 +349,12 @@ def test_saturated_model_names_stalled_fiber():
     np.testing.assert_allclose(stalled["center_lo_um"], lo)
     np.testing.assert_allclose(stalled["center_hi_um"], 60.0 - lo)
     assert generate_model(ModelParams(seed=3, **SMALL)).stalled is None
+
+
+def test_csv_header_only_reads_empty(tmp_path):
+    path = tmp_path / "fibers.csv"
+    write_fibers_csv([], path)
+    assert path.read_text() == "id,x0,y0,z0,x1,y1,z1,radius_um\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_fibers_csv(path) == []

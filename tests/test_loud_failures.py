@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from fibervox.annotate import PolylineAnnotation, read_annotations
+from fibervox.fibers import read_fibers_csv
 from fibervox.metrics import _pair_count_sum
 from fibervox.vesselness import (read_orientation_field, structure_tensor_orientation,
                                  write_orientation_field)
 from fibervox.volume import GridSpec, LabelVolume, Volume, write_volume
-from test_cli import run_cli
+from test_cli import TINY, run_cli
 
 
 def test_pair_count_sum_exact_past_int64():
@@ -102,3 +103,45 @@ def test_annotate_cli_reports_bad_chain(tmp_path):
     assert code == 1 and out == ""
     assert err.strip() == "error stage=annotate: annotation id must be an integer, got 1.5"
     assert not (tmp_path / "anno.raw").exists()
+
+
+CSV_HEADER = "id,x0,y0,z0,x1,y1,z1,radius_um\n"
+
+
+def test_fibers_csv_rejects_duplicate_ids(tmp_path):
+    # two fibers sharing an id would rasterize as one instance
+    path = tmp_path / "fibers.csv"
+    path.write_text(CSV_HEADER + "1,10,10,10,20,10,10,6.5\n"
+                    "2,10,40,10,20,40,10,6.5\n"
+                    "1,10,70,10,20,70,10,6.5\n")
+    with pytest.raises(ValueError) as err:
+        read_fibers_csv(path)
+    assert str(err.value) == f"duplicate fiber id 1 in '{path}'"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1.5,10,10,10,20,10,10,6.5", "could not convert string '1.5' to int64"),
+    ("x,10,10,10,20,10,10,6.5", "could not convert string 'x' to int64"),
+    ("1,10,10,10,20,10,10", "requires 8 columns but 7 were found"),
+    ("0,10,10,10,20,10,10,6.5", "fiber id must be positive, got 0"),
+    ("1,10,10,10,20,10,10,0", "fiber radius must be > 0, got 0.0"),
+], ids=["fractional-id", "text-id", "missing-column", "zero-id", "zero-radius"])
+def test_fibers_csv_rejects_bad_rows(tmp_path, row, message):
+    path = tmp_path / "fibers.csv"
+    path.write_text(CSV_HEADER + "2,10,40,10,20,40,10,6.5\n" + row + "\n")
+    with pytest.raises(ValueError) as err:
+        read_fibers_csv(path)
+    assert str(err.value).startswith(f"bad fiber CSV '{path}': ")
+    assert message in str(err.value)
+
+
+def test_rasterize_cli_reports_duplicate_ids(tmp_path):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    path = tmp_path / "fibers.csv"
+    path.write_text(CSV_HEADER + "3,20,20,20,40,20,20,6.5\n3,20,60,20,40,60,20,6.5\n")
+    code, out, err = run_cli("rasterize", "--config", str(cfg), "--fibers", str(path),
+                             "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.strip() == f"error stage=rasterize: duplicate fiber id 3 in '{path}'"
+    assert not (tmp_path / "gt.raw").exists()

@@ -136,3 +136,40 @@ def test_write_stl_roundtrip(tmp_path):
     assert count == 40 * len(m.fibers)
     np.testing.assert_array_equal(read_stl_triangles(path),
                                   read_stl_triangles(export_stl(m, 10)))
+
+
+def reference_cylinder(p0, p1, radius, sides):
+    """One fiber's triangles built the per-fiber way: a frame from
+    np.linalg.norm on 3-vectors, two float32 rings, side quads, cap fans."""
+    axis = (p1 - p0) / np.linalg.norm(p1 - p0)
+    helper = np.zeros(3)
+    helper[np.argmin(np.abs(axis))] = 1.0
+    e1 = np.cross(axis, helper)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    ang = 2.0 * np.pi * np.arange(sides) / sides
+    offsets = radius * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
+    ring0 = (p0 + offsets).astype(np.float32)
+    ring1 = (p1 + offsets).astype(np.float32)
+    c0 = np.broadcast_to(p0.astype(np.float32), ring0.shape)
+    c1 = np.broadcast_to(p1.astype(np.float32), ring1.shape)
+    nxt = np.roll(np.arange(sides), -1)
+    return np.concatenate([np.stack([ring0, ring0[nxt], ring1[nxt]], axis=1),
+                           np.stack([ring0, ring1[nxt], ring1], axis=1),
+                           np.stack([c0, ring0[nxt], ring0], axis=1),
+                           np.stack([c1, ring1, ring1[nxt]], axis=1)])
+
+
+@pytest.mark.parametrize("sides", [3, 7, 24])
+def test_export_stl_equals_per_fiber_cylinders(sides):
+    m = generate_model(ModelParams(box_edge=150.0, radius=3.0, mean_length=40.0,
+                                   length_stddev=8.0, target_fraction=0.03,
+                                   max_attempts=5000, seed=4))
+    assert len(m.fibers) >= 10
+    tris = read_stl_triangles(export_stl(m, segments_per_circle=sides))
+    alone = np.concatenate([cylinder_triangles(f.p0, f.p1, f.radius, sides)
+                            for f in m.fibers])
+    reference = np.concatenate([reference_cylinder(f.p0, f.p1, f.radius, sides)
+                                for f in m.fibers])
+    assert tris.dtype == alone.dtype == reference.dtype == np.float32
+    assert tris.tobytes() == alone.tobytes() == reference.tobytes()

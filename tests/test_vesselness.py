@@ -22,7 +22,7 @@ from fibervox.vesselness import (
     structure_tensor_orientation,
     write_orientation_field,
 )
-from fibervox.volume import GridSpec, LabelVolume, Volume
+from fibervox.volume import NEIGHBORS_26, GridSpec, LabelVolume, Volume
 
 
 def vol(data, h=1.0):
@@ -314,6 +314,38 @@ def test_connected_components_empty_and_validation():
     assert out.data.max() == 0
     with pytest.raises(ValueError, match="binary"):
         connected_components(LabelVolume(g, np.full(g.dims, 2, dtype=np.uint32)))
+
+
+def flood_fill_components(mask):
+    """Pure-Python 26-neighbour flood fill, numbering each component by its
+    first voxel in x-fastest scan order."""
+    out = np.zeros(mask.shape, dtype=np.uint32)
+    count = 0
+    for z, y, x in np.ndindex(mask.shape[::-1]):
+        if not mask[x, y, z] or out[x, y, z]:
+            continue
+        count += 1
+        out[x, y, z] = count
+        stack = [(x, y, z)]
+        while stack:
+            p = stack.pop()
+            for d in NEIGHBORS_26:
+                q = tuple(a + b for a, b in zip(p, d))
+                if all(0 <= c < n for c, n in zip(q, mask.shape)) and mask[q] and not out[q]:
+                    out[q] = count
+                    stack.append(q)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_connected_components_matches_flood_fill(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        dims = tuple(int(d) for d in rng.integers(1, 12, size=3))
+        mask = (rng.random(dims) < rng.uniform(0.05, 0.4)).astype(np.uint32)
+        out = connected_components(LabelVolume(GridSpec(dims, 1.0), mask))
+        assert out.data.dtype == np.uint32
+        np.testing.assert_array_equal(out.data, flood_fill_components(mask))
 
 
 # ---------------------------------------------------------------- orientation
