@@ -22,8 +22,8 @@ from .config import PipelineConfig
 from .ctsim import (degrade, rasterize_attenuation, rasterize_labels, simulate_fbp,
                     write_sinogram)
 from .fibers import (FiberModel, audit_model, generate_model, histogram_fields,
-                     model_statistics, orientation_histograms, read_fibers_csv,
-                     write_fibers_csv)
+                     length_histogram, model_statistics, orientation_histograms,
+                     read_fibers_csv, write_fibers_csv)
 from .mesh import write_stl
 from .metrics import evaluate
 from .vesselness import (binarize, connected_components, frangi_multiscale,
@@ -53,28 +53,12 @@ class _Outputs:
                 pass
 
 
-def _require_gray(vol, stem: str) -> Volume:
-    if not isinstance(vol, Volume):
-        raise ValueError(f"'{stem}' holds labels (u32); a gray (f32) volume is required")
+def _require(kind: type, vol, stem: str):
+    if not isinstance(vol, kind):
+        held, wanted = ("labels (u32)", "gray (f32)") if kind is Volume \
+            else ("gray data (f32)", "label (u32)")
+        raise ValueError(f"'{stem}' holds {held}; a {wanted} volume is required")
     return vol
-
-
-def _require_labels(vol, stem: str) -> LabelVolume:
-    if not isinstance(vol, LabelVolume):
-        raise ValueError(f"'{stem}' holds gray data (f32); a label (u32) volume is required")
-    return vol
-
-
-def _length_histogram(lengths) -> dict:
-    lengths = np.asarray(list(lengths), dtype=np.float64)
-    counts, _ = np.histogram(lengths, bins=20, range=(0.0, 1000.0)) if lengths.size \
-        else (np.zeros(20, dtype=np.int64), None)
-    return {
-        "bin_um": 50.0,
-        "range_um": [0.0, 1000.0],
-        "counts": [int(c) for c in counts],
-        "overflow": int(np.count_nonzero(lengths > 1000.0)),
-    }
 
 
 def _summary(**fields) -> None:
@@ -100,7 +84,6 @@ def _cmd_generate(args, cfg: PipelineConfig, out: _Outputs) -> None:
     payload["stop_reason"] = model.stop_reason
     stalled = {"stalled": model.stalled} if model.stalled else {}
     payload.update(stalled)
-    payload["length_hist"] = _length_histogram(f.length for f in model.fibers)
     if args.audit:
         payload["audit"] = audit_model(model)
     stats_path = out_dir / "stats.json"
@@ -128,14 +111,14 @@ def _cmd_rasterize(args, cfg: PipelineConfig, out: _Outputs) -> None:
 
 
 def _cmd_degrade(args, cfg: PipelineConfig, out: _Outputs) -> None:
-    gray = _require_gray(read_volume(args.input), args.input)
+    gray = _require(Volume, read_volume(args.input), args.input)
     result = degrade(gray, cfg.degrade_params())
     write_volume(result, out.track_stem(args.output))
     _summary(stage="degrade", mean=float(result.data.mean()))
 
 
 def _cmd_fbp(args, cfg: PipelineConfig, out: _Outputs) -> None:
-    gray = _require_gray(read_volume(args.input), args.input)
+    gray = _require(Volume, read_volume(args.input), args.input)
     n_angles = cfg.raw["fbp"]["n_angles"]
     sink = None
     if args.dump_sinograms:
@@ -150,7 +133,7 @@ def _cmd_fbp(args, cfg: PipelineConfig, out: _Outputs) -> None:
 
 
 def _cmd_annotate(args, cfg: PipelineConfig, out: _Outputs) -> None:
-    gray = _require_gray(read_volume(args.gray), args.gray)
+    gray = _require(Volume, read_volume(args.gray), args.gray)
     if args.annotations:
         chains = read_annotations(args.annotations)
     else:
@@ -163,7 +146,7 @@ def _cmd_annotate(args, cfg: PipelineConfig, out: _Outputs) -> None:
 
 
 def _cmd_segment(args, cfg: PipelineConfig, out: _Outputs) -> None:
-    gray = _require_gray(read_volume(args.input), args.input)
+    gray = _require(Volume, read_volume(args.input), args.input)
     seg = cfg.raw["segment"]
     if seg["polarity"] == "bright":
         prepared = gray
@@ -190,8 +173,8 @@ def _cmd_segment(args, cfg: PipelineConfig, out: _Outputs) -> None:
 
 
 def _cmd_evaluate(args, cfg: PipelineConfig, out: _Outputs) -> None:
-    truth = _require_labels(read_volume(args.truth), args.truth)
-    pred = _require_labels(read_volume(args.pred), args.pred)
+    truth = _require(LabelVolume, read_volume(args.truth), args.truth)
+    pred = _require(LabelVolume, read_volume(args.pred), args.pred)
     if truth.grid != pred.grid:
         raise ValueError(
             f"grid mismatch: truth dims {truth.grid.dims} (voxel {truth.grid.voxel_size} um) "
@@ -237,19 +220,17 @@ def _label_statistics(vol: LabelVolume) -> dict:
         "max_length_um": float(lengths_arr.max()) if lengths else 0.0,
         "mean_length_um": float(lengths_arr.mean()) if lengths else 0.0,
         "foreground_fraction": float(np.count_nonzero(vol.data) / vol.grid.voxel_count),
-        "length_hist": _length_histogram(lengths),
+        "length_hist": length_histogram(lengths),
         **histogram_fields(*orientation_histograms(np.reshape(axes, (-1, 3)))),
     }
 
 
 def _cmd_stats(args, cfg: PipelineConfig, out: _Outputs) -> None:
     if args.fibers:
-        fibers = read_fibers_csv(args.fibers)
-        model = FiberModel(params=cfg.model_params(), fibers=fibers)
+        model = FiberModel(params=cfg.model_params(), fibers=read_fibers_csv(args.fibers))
         payload = model_statistics(model).to_dict()
-        payload["length_hist"] = _length_histogram(f.length for f in fibers)
     else:
-        labels = _require_labels(read_volume(args.labels), args.labels)
+        labels = _require(LabelVolume, read_volume(args.labels), args.labels)
         payload = _label_statistics(labels)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:

@@ -17,9 +17,6 @@ from .fibers import ModelParams
 from .vesselness import ScaleSet, VesselnessParams
 from .volume import GridSpec
 
-# Keys where null is a legal value (auto-derived settings).
-_NULLABLE = {"segment.c", "segment.threshold"}
-
 
 def default_config() -> dict:
     return {
@@ -73,7 +70,7 @@ def default_config() -> dict:
 
 def _check_value(path: str, value, default) -> object:
     if value is None:
-        if path in _NULLABLE:
+        if default is None:
             return None
         raise ValueError(f"config key '{path}' must not be null")
     if default is None:
@@ -161,10 +158,10 @@ class PipelineConfig:
             except json.JSONDecodeError:
                 raise ValueError(f"override value for '{key}' is not valid JSON: {raw_value!r}")
             section, leaf = parts
-            if section not in self.raw or leaf not in self.raw[section]:
+            if section not in self.raw:
                 raise ValueError(f"unknown config key(s): {key}")
-            default = default_config()[section][leaf]
-            self.raw[section][leaf] = _check_value(key, value, default)
+            self.raw[section] = _merge(default_config()[section],
+                                       {**self.raw[section], leaf: value}, section + ".")
 
     def to_json(self) -> str:
         return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
@@ -172,12 +169,7 @@ class PipelineConfig:
     # Typed views consumed by the pipeline stages.
 
     def model_params(self) -> ModelParams:
-        m = self.raw["model"]
-        return ModelParams(box_edge=m["box_edge"], radius=m["radius"],
-                           mean_length=m["mean_length"],
-                           length_stddev=m["length_stddev"],
-                           target_fraction=m["target_fraction"],
-                           max_attempts=m["max_attempts"], seed=m["seed"])
+        return ModelParams(**self.raw["model"])
 
     def grid_spec(self) -> GridSpec:
         g = self.raw["grid"]

@@ -162,7 +162,6 @@ def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
 
     frac = counts.astype(np.float64) / s3
     out = matrix_value + (fiber_value - matrix_value) * frac
-    out[counts == 0] = matrix_value
     out[counts >= s3] = fiber_value
     return Volume(grid=grid, data=out.astype(np.float32))
 
@@ -259,8 +258,11 @@ def _ramlak_filter(sino: Sinogram) -> np.ndarray:
 def fbp_slice(sino: Sinogram, shape: tuple[int, int]) -> np.ndarray:
     """Ram-Lak filtered backprojection of one sinogram onto a 2D slice."""
     nx, ny = shape
-    filtered = _ramlak_filter(sino)
     n_det = sino.n_detectors
+    # Pixel centres lie within hypot(nx, ny) / 2 - 1/2 of the slice centre, so
+    # `pad` zeros on each side of a filtered row hold every sample off the detector.
+    pad = math.ceil(math.hypot(nx, ny) / 2)
+    filtered = np.pad(_ramlak_filter(sino), ((0, 0), (pad, pad)))
     center = (n_det - 1) / 2.0
     gx = np.arange(nx, dtype=np.float64)[:, None] - (nx - 1) / 2.0
     gy = np.arange(ny, dtype=np.float64)[None, :] - (ny - 1) / 2.0
@@ -269,11 +271,8 @@ def fbp_slice(sino: Sinogram, shape: tuple[int, int]) -> np.ndarray:
         s = gx * math.cos(theta) + gy * math.sin(theta) + center
         idx = np.floor(s).astype(np.int64)
         frac = s - idx
-        valid0 = (idx >= 0) & (idx < n_det)
-        valid1 = (idx + 1 >= 0) & (idx + 1 < n_det)
-        v0 = np.where(valid0, row[np.clip(idx, 0, n_det - 1)], 0.0)
-        v1 = np.where(valid1, row[np.clip(idx + 1, 0, n_det - 1)], 0.0)
-        recon += v0 * (1.0 - frac) + v1 * frac
+        idx += pad
+        recon += row[idx] * (1.0 - frac) + row[idx + 1] * frac
     return recon * (math.pi / sino.n_angles)
 
 

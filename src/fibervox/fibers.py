@@ -112,8 +112,9 @@ class FiberModel:
 
 @dataclass
 class ModelStats:
-    """Aggregate packing statistics; orientation histograms use fixed bins
-    (theta: 18 x 5 deg over [0, 90]; phi: 36 x 10 deg over [0, 360))."""
+    """Aggregate packing statistics; histograms use fixed bins (theta: 18 x 5
+    deg over [0, 90]; phi: 36 x 10 deg over [0, 360); length: 20 x 50 um over
+    [0, 1000] plus an overflow count)."""
 
     fiber_count: int
     min_length: float
@@ -124,6 +125,7 @@ class ModelStats:
     weight_fraction: float
     theta_hist: np.ndarray
     phi_hist: np.ndarray
+    length_hist: dict
 
     def to_dict(self) -> dict:
         return {
@@ -134,6 +136,7 @@ class ModelStats:
             "total_fiber_volume_um3": self.total_fiber_volume,
             "volume_fraction": self.volume_fraction,
             "weight_fraction": self.weight_fraction,
+            "length_hist": self.length_hist,
             **histogram_fields(self.theta_hist, self.phi_hist),
         }
 
@@ -167,6 +170,15 @@ def histogram_fields(theta_hist, phi_hist) -> dict:
         "phi_hist": {"bin_deg": 360 / PHI_BINS, "range_deg": [0, 360],
                      "counts": [int(c) for c in phi_hist]},
     }
+
+
+def length_histogram(lengths) -> dict:
+    """The ``length_hist`` entry of a statistics document: 50 um bins over
+    [0, 1000] um plus the count of longer fibers."""
+    lengths = np.asarray(lengths, dtype=np.float64)
+    counts, _ = np.histogram(lengths, bins=20, range=(0.0, 1000.0))
+    return {"bin_um": 50.0, "range_um": [0.0, 1000.0], "counts": [int(c) for c in counts],
+            "overflow": int(np.count_nonzero(lengths > 1000.0))}
 
 
 def _fiber_arrays(fibers: list[Fiber]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -451,11 +463,12 @@ def model_statistics(model: FiberModel) -> ModelStats:
     axes = p1 - p0
     theta_hist, phi_hist = orientation_histograms(
         axes / np.linalg.norm(axes, axis=1, keepdims=True))
-    if n == 0:
-        return ModelStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, theta_hist, phi_hist)
     # The same dot kernel and summation order as Fiber.length / Fiber.volume,
     # so the statistics match the per-fiber properties bit for bit.
     lengths = np.sqrt(np.matmul(axes[:, None, :], axes[:, :, None])[:, 0, 0])
+    length_hist = length_histogram(lengths)
+    if n == 0:
+        return ModelStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, theta_hist, phi_hist, length_hist)
     total_volume = float(sum((math.pi * radii**2 * lengths).tolist()))
     vf = total_volume / model.params.box_edge**3
     return ModelStats(
@@ -468,6 +481,7 @@ def model_statistics(model: FiberModel) -> ModelStats:
         weight_fraction=weight_fraction(vf),
         theta_hist=theta_hist,
         phi_hist=phi_hist,
+        length_hist=length_hist,
     )
 
 

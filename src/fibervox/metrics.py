@@ -8,7 +8,7 @@ the final division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,15 +56,7 @@ class MetricReport:
     ignore_background: bool
 
     def to_dict(self) -> dict:
-        return {
-            "dice": self.dice,
-            "ari": self.ari,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "n": self.n,
-            "ignore_background": self.ignore_background,
-        }
+        return asdict(self)
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[float, int, int, int]:

@@ -187,15 +187,13 @@ def frangi_response(e: EigenField, p: VesselnessParams) -> Volume:
     bright_tube = (l2 <= 0) & (l3 < 0)
     if c == 0:
         return Volume(grid=e.grid, data=np.zeros(e.grid.dims, dtype=np.float32))
-    abs2 = np.abs(l2)
-    abs3 = np.abs(l3)
-    ra2 = _divide_nonzero(abs2 * abs2, abs3 * abs3)
-    rb2 = _divide_nonzero(l1 * l1, abs2 * abs3)
+    # Each factor lies in [0, 1], and so does their rounded product.
+    ra2 = _divide_nonzero(l2 * l2, l3 * l3)
+    rb2 = _divide_nonzero(l1 * l1, np.abs(l2 * l3))
     response = ((1.0 - np.exp(-ra2 / (2.0 * p.alpha**2)))
                 * np.exp(-rb2 / (2.0 * p.beta**2))
                 * (1.0 - np.exp(-s2 / (2.0 * c * c))))
-    response = np.where(bright_tube, response, 0.0)
-    return Volume(grid=e.grid, data=np.clip(response, 0.0, 1.0).astype(np.float32))
+    return Volume(grid=e.grid, data=np.where(bright_tube, response, 0.0).astype(np.float32))
 
 
 def frangi_multiscale(v: Volume, scales: ScaleSet, p: VesselnessParams) -> Volume:
@@ -310,14 +308,8 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
     max_trace = float(trace.max())
     valid = (trace >= 1e-12 * max_trace) & (max_trace > 0)
 
-    tensor = np.empty(v.grid.dims + (3, 3), dtype=np.float64)
-    tensor[..., 0, 0] = jxx
-    tensor[..., 1, 1] = jyy
-    tensor[..., 2, 2] = jzz
-    tensor[..., 0, 1] = tensor[..., 1, 0] = jxy
-    tensor[..., 0, 2] = tensor[..., 2, 0] = jxz
-    tensor[..., 1, 2] = tensor[..., 2, 1] = jyz
-    _, vectors = np.linalg.eigh(tensor)
+    tensor = np.stack([jxx, jxy, jxz, jxy, jyy, jyz, jxz, jyz, jzz], axis=-1)
+    _, vectors = np.linalg.eigh(tensor.reshape(v.grid.dims + (3, 3)))
     return OrientationField(grid=v.grid, axes=hemisphere(vectors[..., :, 0]).astype(np.float32),
                             valid=valid)
 

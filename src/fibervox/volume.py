@@ -70,8 +70,24 @@ def _check_shape(grid: GridSpec, data: np.ndarray) -> None:
         raise ValueError(f"data shape {data.shape} does not match grid dims {grid.dims}")
 
 
+class _Samples:
+    """Canonical-order samples of both volume classes; each constructor sets the dtype."""
+
+    @classmethod
+    def from_flat(cls, grid: GridSpec, flat):
+        flat = np.asarray(flat)
+        if flat.size != grid.voxel_count:
+            raise ValueError(f"expected {grid.voxel_count} values, got {flat.size}")
+        return cls(grid, flat.reshape(grid.dims, order="F"))
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Samples in canonical linear order x + nx*(y + ny*z)."""
+        return self.data.ravel(order="F")
+
+
 @dataclass
-class Volume:
+class Volume(_Samples):
     """Gray-value volume (float32). Treated as immutable once constructed."""
 
     grid: GridSpec
@@ -84,21 +100,9 @@ class Volume:
             raise ValueError("volume data must be finite (no NaN/Inf)")
         self.data = data
 
-    @classmethod
-    def from_flat(cls, grid: GridSpec, flat) -> "Volume":
-        flat = np.asarray(flat, dtype=np.float32)
-        if flat.size != grid.voxel_count:
-            raise ValueError(f"expected {grid.voxel_count} values, got {flat.size}")
-        return cls(grid, flat.reshape(grid.dims, order="F"))
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Samples in canonical linear order x + nx*(y + ny*z)."""
-        return self.data.ravel(order="F")
-
 
 @dataclass
-class LabelVolume:
+class LabelVolume(_Samples):
     """Integer label volume (uint32); 0 is reserved for background."""
 
     grid: GridSpec
@@ -115,19 +119,8 @@ class LabelVolume:
         self.data = data
 
     @classmethod
-    def from_flat(cls, grid: GridSpec, flat) -> "LabelVolume":
-        flat = np.asarray(flat)
-        if flat.size != grid.voxel_count:
-            raise ValueError(f"expected {grid.voxel_count} values, got {flat.size}")
-        return cls(grid, flat.reshape(grid.dims, order="F"))
-
-    @classmethod
     def zeros(cls, grid: GridSpec) -> "LabelVolume":
         return cls(grid, np.zeros(grid.dims, dtype=np.uint32))
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.data.ravel(order="F")
 
 
 def _write_raw(path_stem: str | Path, samples: np.ndarray, tag: str, order: str = RAW_ORDER,
@@ -171,11 +164,18 @@ def read_volume(path_stem: str | Path) -> Volume | LabelVolume:
     json_path = stem.with_name(stem.name + ".json")
     raw_path = stem.with_name(stem.name + ".raw")
     try:
-        meta = json.loads(json_path.read_text())
+        sidecar = json_path.read_bytes()
         raw = raw_path.read_bytes()
     except OSError as exc:
         raise OSError(f"failed to read volume '{stem}': {exc}") from exc
-    tag = meta.get("dtype")
+    try:
+        meta = json.loads(sidecar)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ValueError(f"bad volume sidecar '{json_path}': {exc}") from None
+    if not isinstance(meta, dict) or not {"dims", "voxel_size_um", "dtype"} <= meta.keys():
+        raise ValueError(f"bad volume sidecar '{json_path}': not an object with dims, "
+                         "voxel_size_um and dtype")
+    tag = meta["dtype"]
     if tag not in _DTYPES:
         raise ValueError(f"unknown dtype {tag!r} in '{json_path}'")
     grid = GridSpec(tuple(meta["dims"]), meta["voxel_size_um"])

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from fibervox.cli import main as cli_main
+from fibervox.config import PipelineConfig
+from fibervox.fibers import FiberModel, model_statistics, read_fibers_csv
 from fibervox.volume import GridSpec, LabelVolume, Volume, read_volume, write_volume
 
 
@@ -148,6 +150,16 @@ def test_stats_from_fibers_and_labels(workdir, tmp_path):
     assert payload["fiber_count"] >= 1
     assert 0.0 < payload["foreground_fraction"] < 0.2
     assert sum(payload["theta_hist"]["counts"]) == payload["fiber_count"]
+
+
+def test_stats_fibers_prints_model_statistics(workdir):
+    root, cfg_path, _ = workdir
+    code, out, _ = run_cli("stats", "--config", str(cfg_path),
+                           "--fibers", str(root / "fibers.csv"))
+    assert code == 0
+    model = FiberModel(params=PipelineConfig.from_dict(TINY).model_params(),
+                       fibers=read_fibers_csv(root / "fibers.csv"))
+    assert json.loads(out) == model_statistics(model).to_dict()
 
 
 def test_annotate_from_json_file(workdir, tmp_path):

@@ -11,7 +11,7 @@ from fibervox.fibers import read_fibers_csv
 from fibervox.metrics import _pair_count_sum
 from fibervox.vesselness import (read_orientation_field, structure_tensor_orientation,
                                  write_orientation_field)
-from fibervox.volume import GridSpec, LabelVolume, Volume, write_volume
+from fibervox.volume import GridSpec, LabelVolume, Volume, read_volume, write_volume
 from test_cli import TINY, run_cli
 
 
@@ -145,3 +145,31 @@ def test_rasterize_cli_reports_duplicate_ids(tmp_path):
     assert code == 1 and out == ""
     assert err.strip() == f"error stage=rasterize: duplicate fiber id 3 in '{path}'"
     assert not (tmp_path / "gt.raw").exists()
+
+
+@pytest.mark.parametrize("sidecar", [
+    b'{"dims": [2, 2, 2], "voxel_size_um": 1.0, "dtype": "f32"',
+    b'{"dims": [2, 2, 2], "voxel_size_um": 1.0, "dtype": "\xff"}',
+    b'[2, 2, 2]',
+    b'"f32"',
+    b'{"voxel_size_um": 1.0, "dtype": "f32"}',
+    b'{"dims": [2, 2, 2], "dtype": "f32"}',
+    b'{"dims": [2, 2, 2], "voxel_size_um": 1.0}',
+], ids=["invalid-json", "invalid-utf8", "array", "string", "no-dims", "no-voxel-size",
+        "no-dtype"])
+def test_read_volume_names_bad_sidecar(tmp_path, sidecar):
+    write_volume(Volume(GridSpec((2, 2, 2), 1.0), np.zeros((2, 2, 2))), tmp_path / "v")
+    (tmp_path / "v.json").write_bytes(sidecar)
+    with pytest.raises(ValueError) as err:
+        read_volume(tmp_path / "v")
+    assert str(err.value).startswith(f"bad volume sidecar '{tmp_path / 'v.json'}': ")
+
+
+def test_degrade_cli_names_bad_sidecar(tmp_path):
+    write_volume(Volume(GridSpec((2, 2, 2), 1.0), np.zeros((2, 2, 2))), tmp_path / "v")
+    (tmp_path / "v.json").write_text('{"voxel_size_um": 1.0, "dtype": "f32"}')
+    code, out, err = run_cli("degrade", "--input", str(tmp_path / "v"),
+                             "--output", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error stage=degrade: bad volume sidecar '{tmp_path / 'v.json'}': ")
+    assert not (tmp_path / "out.raw").exists()
