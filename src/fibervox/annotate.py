@@ -4,8 +4,8 @@ Chains are rendered onto the grid with an integer-only 3D Bresenham walk and
 then expanded by seeded region growing on the gray volume. Growth is
 round-synchronous: every label front advances one 26-connected ring per round,
 and a voxel contested within a round goes to the smallest claiming label id,
-so results do not depend on traversal order. One round is one 3x3x3 minimum
-filter over the labels.
+so results do not depend on traversal order. A round visits only the
+neighbors of the voxels claimed in the round before.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .fibers import _fiber_arrays
-from .volume import GridSpec, LabelVolume, Volume
+from .volume import NEIGHBORS_26, GridSpec, LabelVolume, Volume
 
-# Stands for "no label" in the minimum filter. scipy passes ``cval`` as a
-# double, so this must stay exactly representable as a float64.
-_UNCLAIMED = np.int64(2**62)
+# Stands for "no offer": larger than every uint32 label.
+_NO_OFFER = np.int64(2**62)
 
 
 def _exact_int(value, what: str) -> int:
@@ -115,22 +113,36 @@ def region_grow(gray: Volume, seeds: LabelVolume, threshold: float) -> LabelVolu
     every labeled voxel offers its label to unclaimed 26-neighbors that meet
     the threshold; a voxel offered several labels in one round takes the
     smallest id. Runs until no voxel is claimed.
+
+    Only the last round's claims (at first the seeds) make offers: had a
+    claimable voxel an older labeled neighbor, it would have been claimed a
+    round earlier. So a round costs its front, not the volume.
     """
     if gray.grid != seeds.grid:
         raise ValueError(
             f"grid mismatch: gray {gray.grid.dims} vs seeds {seeds.grid.dims}")
-    labels = seeds.data.astype(np.int64)
-    labels[labels == 0] = _UNCLAIMED
-    eligible = gray.data >= threshold
-    while True:
-        # The window's centre is harmless: every claimable voxel holds _UNCLAIMED.
-        best = ndimage.minimum_filter(labels, size=3, mode="constant", cval=_UNCLAIMED)
-        claim = (labels == _UNCLAIMED) & eligible & (best != _UNCLAIMED)
-        if not claim.any():
-            break
-        labels[claim] = best[claim]
-    labels[labels == _UNCLAIMED] = 0
-    return LabelVolume(grid=seeds.grid, data=labels.astype(np.uint32))
+    # One unclaimable voxel of padding on each side keeps neighbor indices in range.
+    shape = tuple(n + 2 for n in seeds.grid.dims)
+    inner = (slice(1, -1),) * 3
+    labels = np.zeros(shape, dtype=np.int64)
+    labels[inner] = seeds.data
+    claimable = np.zeros(shape, dtype=bool)
+    claimable[inner] = (gray.data >= threshold) & (seeds.data == 0)
+    flat_labels, flat_claimable = labels.reshape(-1), claimable.reshape(-1)
+    offsets = np.array(NEIGHBORS_26) @ np.array([shape[1] * shape[2], shape[2], 1])
+    best = np.full(labels.size, _NO_OFFER)
+    front = np.flatnonzero(flat_labels)
+    while front.size:
+        offers = flat_labels[front]
+        for offset in offsets:
+            neighbors = front + offset
+            free = flat_claimable[neighbors]
+            np.minimum.at(best, neighbors[free], offers[free])
+        front = np.flatnonzero(best != _NO_OFFER)
+        flat_labels[front] = best[front]
+        flat_claimable[front] = False
+        best[front] = _NO_OFFER
+    return LabelVolume(grid=seeds.grid, data=labels[inner].astype(np.uint32))
 
 
 def annotations_from_fibers(fibers, grid: GridSpec) -> list[PolylineAnnotation]:

@@ -6,9 +6,12 @@ plate-vs-line ratio, the blobness ratio, and the second-order energy; the
 multi-scale result is the voxel-wise maximum over scales. A structure-tensor
 orientation estimator for the extracted fibers lives here too.
 
-Memory note: multi-scale filtering peaks at about 25 float64 arrays of the
-volume size (3.1 GB peak RSS at 241^3); intended for desk-scale volumes (up
-to ~256^3), not full high-resolution scans.
+Memory note: the per-voxel steps (eigensolves, magnitude sort, response) run
+over slabs of about 128 x 128 x 8 voxels, so a kernel holds its six
+full-volume float64 components and its outputs plus a few slab temporaries.
+Peak RSS of one standalone call (three Frangi scales; the structure tensor at
+sigma_g 1, rho 2): Frangi 199 MB at 128^3 and 0.98 GB at 241^3, the structure
+tensor 234 MB and 1.07 GB.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ from scipy import ndimage
 
 from .fibers import hemisphere
 from .volume import GridSpec, LabelVolume, Volume, _write_raw, read_volume, write_volume
+
+# Voxels per slab of the per-voxel steps (eigensolves, sort, response): 8 x
+# 128 x 128, so that each of their float64 temporaries stays near 1 MB whatever
+# the grid.
+_SLAB_VOXELS = 128 * 128 * 8
 
 
 @dataclass(frozen=True)
@@ -98,11 +106,25 @@ def gaussian_kernel(sigma: float, order: int = 0) -> np.ndarray:
     raise ValueError(f"unsupported derivative order {order}")
 
 
+def _convolve(data: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    return ndimage.convolve1d(data, kernel, axis=axis, output=np.float64, mode="reflect")
+
+
 def _separable(data: np.ndarray, kernels: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     out = data
     for axis, kernel in enumerate(kernels):
-        out = ndimage.convolve1d(out, kernel, axis=axis, mode="reflect")
+        out = _convolve(out, kernel, axis)
     return out
+
+
+def _slabs(dims: tuple[int, int, int]) -> list[slice]:
+    """Consecutive slabs of whole y-z planes, about ``_SLAB_VOXELS`` voxels and
+    at least one plane each, that together cover the grid. They are cut along
+    x because x is the first axis of the C-ordered arrays: each slab is one
+    contiguous block."""
+    nx, ny, nz = dims
+    depth = max(1, _SLAB_VOXELS // (ny * nz))
+    return [slice(x0, x0 + depth) for x0 in range(0, nx, depth)]
 
 
 def _eig3_symmetric(a11, a22, a33, a12, a13, a23):
@@ -135,11 +157,19 @@ def _eig3_symmetric(a11, a22, a33, a12, a13, a23):
 
 
 def _sort_by_magnitude(lo, mid, hi):
-    """Reorder per voxel by |value| ascending, ties by signed value ascending."""
-    vals = np.stack([lo, mid, hi])
-    order = np.lexsort((vals, np.abs(vals)), axis=0)
-    out = np.take_along_axis(vals, order, axis=0)
-    return out[0], out[1], out[2]
+    """Reorder per voxel by |value| ascending, ties by signed value ascending.
+
+    A stable three-element bubble sort on the key (|v|, v): a pair swaps only
+    when its first key is strictly larger, so equal keys (0.0 and -0.0) keep
+    their order.
+    """
+    vals = [lo, mid, hi]
+    for i in (0, 1, 0):
+        a, b = vals[i], vals[i + 1]
+        abs_a, abs_b = np.abs(a), np.abs(b)
+        swap = (abs_a > abs_b) | ((abs_a == abs_b) & (a > b))
+        vals[i], vals[i + 1] = np.where(swap, b, a), np.where(swap, a, b)
+    return tuple(vals)
 
 
 def hessian_at_scale(v: Volume, sigma: float) -> EigenField:
@@ -148,27 +178,43 @@ def hessian_at_scale(v: Volume, sigma: float) -> EigenField:
     Six Hessian components via separable sampled-Gaussian-derivative
     convolution (reflect boundary), multiplied by sigma^2 (gamma = 2 scale
     normalization), then a closed-form symmetric eigensolve per voxel.
+    Components with the same x kernel share its pass (15 passes, not 18); the
+    eigensolve runs over slabs, and the result does not depend on the slab
+    size.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    g = gaussian_kernel(sigma, 0)
-    d1 = gaussian_kernel(sigma, 1)
-    d2 = gaussian_kernel(sigma, 2)
-    data = v.data.astype(np.float64)
+    g, d1, d2 = (gaussian_kernel(sigma, order) for order in range(3))
     s2 = sigma * sigma
-    hxx = _separable(data, (d2, g, g)) * s2
-    hyy = _separable(data, (g, d2, g)) * s2
-    hzz = _separable(data, (g, g, d2)) * s2
-    hxy = _separable(data, (d1, d1, g)) * s2
-    hxz = _separable(data, (d1, g, d1)) * s2
-    hyz = _separable(data, (g, d1, d1)) * s2
-    lo, mid, hi = _eig3_symmetric(hxx, hyy, hzz, hxy, hxz, hyz)
-    l1, l2, l3 = _sort_by_magnitude(lo, mid, hi)
+    h = {}
+    for kx, tails in ((d2, {"xx": (g, g)}), (d1, {"xy": (d1, g), "xz": (g, d1)}),
+                      (g, {"yy": (d2, g), "zz": (g, d2), "yz": (d1, d1)})):
+        # A group's y passes all run before its x pass is dropped, so that at
+        # most seven full-volume float64 arrays are alive at once.
+        x_pass = _convolve(v.data, kx, 0)
+        for name, (ky, _) in tails.items():
+            h[name] = _convolve(x_pass, ky, 1)
+        del x_pass
+        for name, (_, kz) in tails.items():
+            h[name] = _convolve(h[name], kz, 2)
+            h[name] *= s2
+    # hxx, hyy and hzz double as l1, l2 and l3: each slab is read before it is
+    # overwritten.
+    l1, l2, l3 = h["xx"], h["yy"], h["zz"]
+    for sl in _slabs(v.grid.dims):
+        eigenvalues = _eig3_symmetric(*(h[k][sl] for k in ("xx", "yy", "zz", "xy", "xz", "yz")))
+        l1[sl], l2[sl], l3[sl] = _sort_by_magnitude(*eigenvalues)
     return EigenField(grid=v.grid, l1=l1, l2=l2, l3=l3)
 
 
 def _divide_nonzero(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+
+
+def _energy(e: EigenField, sl) -> np.ndarray:
+    """Second-order energy S^2 = l1^2 + l2^2 + l3^2 on one slab."""
+    l1, l2, l3 = e.l1[sl], e.l2[sl], e.l3[sl]
+    return l1 * l1 + l2 * l2 + l3 * l3
 
 
 def frangi_response(e: EigenField, p: VesselnessParams) -> Volume:
@@ -178,22 +224,24 @@ def frangi_response(e: EigenField, p: VesselnessParams) -> Volume:
     (ratios undefined). With ``c_auto`` the energy weight is half the maximum
     S over this field.
     """
-    l1, l2, l3 = e.l1, e.l2, e.l3
-    s2 = l1 * l1 + l2 * l2 + l3 * l3
+    slabs = _slabs(e.grid.dims)
+    out = np.zeros(e.grid.dims, dtype=np.float32)
     if p.c_auto:
-        c = 0.5 * math.sqrt(float(s2.max()))
+        c = 0.5 * math.sqrt(max(float(_energy(e, sl).max()) for sl in slabs))
     else:
         c = float(p.c)
-    bright_tube = (l2 <= 0) & (l3 < 0)
     if c == 0:
-        return Volume(grid=e.grid, data=np.zeros(e.grid.dims, dtype=np.float32))
-    # Each factor lies in [0, 1], and so does their rounded product.
-    ra2 = _divide_nonzero(l2 * l2, l3 * l3)
-    rb2 = _divide_nonzero(l1 * l1, np.abs(l2 * l3))
-    response = ((1.0 - np.exp(-ra2 / (2.0 * p.alpha**2)))
-                * np.exp(-rb2 / (2.0 * p.beta**2))
-                * (1.0 - np.exp(-s2 / (2.0 * c * c))))
-    return Volume(grid=e.grid, data=np.where(bright_tube, response, 0.0).astype(np.float32))
+        return Volume(grid=e.grid, data=out)
+    for sl in slabs:
+        l1, l2, l3 = e.l1[sl], e.l2[sl], e.l3[sl]
+        # Each factor lies in [0, 1], and so does their rounded product.
+        ra2 = _divide_nonzero(l2 * l2, l3 * l3)
+        rb2 = _divide_nonzero(l1 * l1, np.abs(l2 * l3))
+        response = ((1.0 - np.exp(-ra2 / (2.0 * p.alpha**2)))
+                    * np.exp(-rb2 / (2.0 * p.beta**2))
+                    * (1.0 - np.exp(-_energy(e, sl) / (2.0 * c * c))))
+        out[sl] = np.where((l2 <= 0) & (l3 < 0), response, 0.0)
+    return Volume(grid=e.grid, data=out)
 
 
 def frangi_multiscale(v: Volume, scales: ScaleSet, p: VesselnessParams) -> Volume:
@@ -201,7 +249,7 @@ def frangi_multiscale(v: Volume, scales: ScaleSet, p: VesselnessParams) -> Volum
     out = None
     for sigma in scales.sigmas:
         response = frangi_response(hessian_at_scale(v, sigma), p).data
-        out = response if out is None else np.maximum(out, response)
+        out = response if out is None else np.maximum(out, response, out=out)
     return Volume(grid=v.grid, data=out)
 
 
@@ -278,7 +326,8 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
     outer product is smoothed component-wise at ``rho``; the orientation is
     the eigenvector of the smallest tensor eigenvalue, canonicalized to
     z >= 0 (then y >= 0, then x >= 0 on ties). Voxels whose tensor trace is
-    below 1e-12 of the volume maximum are flagged invalid.
+    below 1e-12 of the volume maximum are flagged invalid. The eigensolve runs
+    over slabs, and the result does not depend on the slab size.
     """
     if sigma_g <= 0:
         raise ValueError(f"sigma_g must be > 0, got {sigma_g}")
@@ -286,10 +335,9 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
         raise ValueError(f"rho must be >= 0, got {rho}")
     g = gaussian_kernel(sigma_g, 0)
     d1 = gaussian_kernel(sigma_g, 1)
-    data = v.data.astype(np.float64)
-    gx = _separable(data, (d1, g, g))
-    gy = _separable(data, (g, d1, g))
-    gz = _separable(data, (g, g, d1))
+    gx = _separable(v.data, (d1, g, g))
+    gy = _separable(v.data, (g, d1, g))
+    gz = _separable(v.data, (g, g, d1))
 
     def smooth(component: np.ndarray) -> np.ndarray:
         if rho == 0:
@@ -297,21 +345,27 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
         k = gaussian_kernel(rho, 0)
         return _separable(component, (k, k, k))
 
-    jxx = smooth(gx * gx)
-    jyy = smooth(gy * gy)
+    # Each gradient is dropped once its last product is formed.
+    jxx, jxy, jxz = smooth(gx * gx), smooth(gx * gy), smooth(gx * gz)
+    del gx
+    jyy, jyz = smooth(gy * gy), smooth(gy * gz)
+    del gy
     jzz = smooth(gz * gz)
-    jxy = smooth(gx * gy)
-    jxz = smooth(gx * gz)
-    jyz = smooth(gy * gz)
+    del gz
 
     trace = jxx + jyy + jzz
     max_trace = float(trace.max())
     valid = (trace >= 1e-12 * max_trace) & (max_trace > 0)
+    del trace
 
-    tensor = np.stack([jxx, jxy, jxz, jxy, jyy, jyz, jxz, jyz, jzz], axis=-1)
-    _, vectors = np.linalg.eigh(tensor.reshape(v.grid.dims + (3, 3)))
-    return OrientationField(grid=v.grid, axes=hemisphere(vectors[..., :, 0]).astype(np.float32),
-                            valid=valid)
+    axes = np.empty(v.grid.dims + (3,), dtype=np.float32)
+    for sl in _slabs(v.grid.dims):
+        tensor = np.stack([c[sl] for c in (jxx, jxy, jxz, jxy, jyy, jyz, jxz, jyz, jzz)],
+                          axis=-1)
+        vectors = np.linalg.eigh(tensor.reshape(tensor.shape[:3] + (3, 3))).eigenvectors
+        del tensor
+        axes[sl] = hemisphere(vectors[..., :, 0])
+    return OrientationField(grid=v.grid, axes=axes, valid=valid)
 
 
 def write_orientation_field(field: OrientationField, path_stem: str | Path) -> None:

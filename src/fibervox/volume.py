@@ -176,9 +176,18 @@ def read_volume(path_stem: str | Path) -> Volume | LabelVolume:
         raise ValueError(f"bad volume sidecar '{json_path}': not an object with dims, "
                          "voxel_size_um and dtype")
     tag = meta["dtype"]
-    if tag not in _DTYPES:
-        raise ValueError(f"unknown dtype {tag!r} in '{json_path}'")
-    grid = GridSpec(tuple(meta["dims"]), meta["voxel_size_um"])
+    if not isinstance(tag, str) or tag not in _DTYPES:
+        raise ValueError(f"bad volume sidecar '{json_path}': unknown dtype {tag!r}")
+    dims, voxel_size = meta["dims"], meta["voxel_size_um"]
+    try:
+        # GridSpec would truncate 2.5 to 2 and read true as 1.
+        if not (isinstance(dims, list) and all(type(d) is int for d in dims)):
+            raise ValueError(f"dims must be a list of integers, got {dims!r}")
+        if type(voxel_size) not in (int, float):
+            raise ValueError(f"voxel_size_um must be a number, got {voxel_size!r}")
+        grid = GridSpec(tuple(dims), voxel_size)
+    except ValueError as exc:
+        raise ValueError(f"bad volume sidecar '{json_path}': {exc}") from None
     expected = grid.voxel_count * _DTYPES[tag].itemsize
     if len(raw) != expected:
         raise ValueError(

@@ -1,11 +1,13 @@
 """Pinned outputs of the two annotation kernels: a golden digest of the 3D
-Bresenham walk and a pure-Python oracle for round-synchronous region growing."""
+Bresenham walk, and for round-synchronous region growing a pure-Python oracle
+and the whole-volume minimum-filter form of a round."""
 
 import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from fibervox.annotate import bresenham3d, region_grow
 from fibervox.volume import NEIGHBORS_26, GridSpec, LabelVolume, Volume
@@ -63,3 +65,35 @@ def test_region_grow_matches_oracle(seed):
         out = region_grow(gray, seeds, threshold)
         assert out.data.dtype == np.uint32
         np.testing.assert_array_equal(out.data, grow_oracle(gray.data, seeds.data, threshold))
+
+
+def grow_by_minimum_filter(gray, seeds, threshold):
+    """The whole-volume form of a round: one 3x3x3 minimum filter over the
+    labels, with unlabeled voxels holding a value above every label."""
+    unclaimed = np.int64(2**62)
+    labels = seeds.astype(np.int64)
+    labels[labels == 0] = unclaimed
+    eligible = gray >= threshold
+    while True:
+        best = ndimage.minimum_filter(labels, size=3, mode="constant", cval=unclaimed)
+        claim = (labels == unclaimed) & eligible & (best != unclaimed)
+        if not claim.any():
+            return np.where(labels == unclaimed, 0, labels).astype(np.uint32)
+        labels[claim] = best[claim]
+
+
+@pytest.mark.parametrize("shape", [(40, 33, 27), (1, 1, 6), (2, 30, 1)])
+def test_region_grow_matches_minimum_filter_rounds(shape):
+    rng = np.random.default_rng(sum(shape))
+    # Smooth noise grows in many rounds along winding paths.
+    data = ndimage.gaussian_filter(rng.normal(size=shape), 1.5).astype(np.float32)
+    gray = Volume(GridSpec(shape, 1.0), data)
+    seeds = LabelVolume.zeros(gray.grid)
+    corners = [tuple(c) for c in itertools.product(*((0, n - 1) for n in shape))]
+    inside = [tuple(int(rng.integers(n)) for n in shape) for _ in range(6)]
+    for vox, label in zip(corners[:2] + inside, [2**32 - 1, 1, 7, 3, 2**31, 5, 3, 9]):
+        seeds.data[vox] = label
+    for q in (0.0, 0.3, 0.6, 0.9):
+        threshold = float(np.quantile(data, q))
+        np.testing.assert_array_equal(region_grow(gray, seeds, threshold).data,
+                                      grow_by_minimum_filter(data, seeds.data, threshold))

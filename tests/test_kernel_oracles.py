@@ -1,20 +1,27 @@
-"""Bit-for-bit oracles for four volume kernels. Each reference below is the
+"""Bit-for-bit oracles for five volume kernels. Each reference below is the
 plain formula the kernel implements: the backprojection with explicit
 validity masks, the Frangi response with explicit magnitudes and a final
-clip, the structure tensor filled entry by entry, and the attenuation mapping
-that sets untouched voxels to the matrix level by hand."""
+clip, the Hessian eigenvalues from 18 independent convolution passes, one
+full-volume eigensolve and a lexsort, the structure tensor filled entry by
+entry, and the attenuation mapping that sets untouched voxels to the matrix
+level by hand. The segment kernels run over slabs of whole y-z planes; their
+cases shrink the slab so that grids of a few voxels span several slabs."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from fibervox import vesselness
 from fibervox.ctsim import (Sinogram, _axis_centers, _capsules, _ramlak_filter, fbp_slice,
                             rasterize_attenuation)
 from fibervox.fibers import Fiber, FiberModel, ModelParams, hemisphere
-from fibervox.vesselness import (EigenField, VesselnessParams, _divide_nonzero, _separable,
-                                 _sort_by_magnitude, frangi_response, gaussian_kernel,
-                                 structure_tensor_orientation)
+from fibervox.vesselness import (EigenField, ScaleSet, VesselnessParams, _divide_nonzero,
+                                 _eig3_symmetric, _separable, _sort_by_magnitude,
+                                 frangi_multiscale, frangi_response, gaussian_kernel,
+                                 hessian_at_scale, structure_tensor_orientation)
 from fibervox.volume import GridSpec, Volume
 
 
@@ -123,6 +130,105 @@ def test_frangi_response_zero_field_matches_reference():
         assert_bits_equal(frangi_response(e, params).data, frangi_reference(e, params))
 
 
+# ------------------------------------------------------------ Hessian eigenvalues
+
+
+def hessian_reference(v, sigma):
+    g, d1, d2 = (gaussian_kernel(sigma, order) for order in range(3))
+    data = v.data.astype(np.float64)
+    s2 = sigma * sigma
+
+    def component(kernels):
+        out = data
+        for axis, kernel in enumerate(kernels):
+            out = ndimage.convolve1d(out, kernel, axis=axis, mode="reflect")
+        return out * s2
+
+    h = [component(k) for k in ((d2, g, g), (g, d2, g), (g, g, d2),
+                                (d1, d1, g), (d1, g, d1), (g, d1, d1))]
+    return sort_reference(*_eig3_symmetric(*h))
+
+
+def sort_reference(lo, mid, hi):
+    vals = np.stack([lo, mid, hi])
+    order = np.lexsort((vals, np.abs(vals)), axis=0)
+    return tuple(np.take_along_axis(vals, order, axis=0))
+
+
+def test_sort_by_magnitude_matches_lexsort_on_every_tie():
+    # Every triple over values with magnitude ties, including 0.0 against -0.0,
+    # whose keys are equal, so that their order must be kept.
+    triples = np.array(list(itertools.product([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], repeat=3)))
+    for got, want in zip(_sort_by_magnitude(*triples.T), sort_reference(*triples.T)):
+        assert_bits_equal(got, want)
+
+
+def multiscale_reference(v, sigmas, p):
+    out = None
+    for sigma in sigmas:
+        response = frangi_reference(EigenField(v.grid, *hessian_reference(v, sigma)), p)
+        out = response if out is None else np.maximum(out, response)
+    return out
+
+
+# With 5 x 6 planes and a slab of three planes: nx a multiple of the slab,
+# not a multiple, smaller than one slab, and a single plane.
+SLAB_VOXELS = 3 * 5 * 6
+SLAB_GRIDS = [(6, 5, 6), (7, 5, 6), (2, 5, 6), (1, 5, 6)]
+
+
+def test_slab_grids_cover_the_four_cases(monkeypatch):
+    monkeypatch.setattr(vesselness, "_SLAB_VOXELS", SLAB_VOXELS)
+    depths = [[len(range(d[0])[sl]) for sl in vesselness._slabs(d)] for d in SLAB_GRIDS]
+    assert depths == [[3, 3], [3, 3, 1], [2], [1]]
+
+
+def slab_volumes(rng, dims):
+    """White noise, and small integers."""
+    yield Volume(GridSpec(dims, 1.0), rng.normal(size=dims))
+    yield Volume(GridSpec(dims, 1.0), rng.integers(-2, 3, size=dims))
+
+
+@pytest.mark.parametrize("dims", SLAB_GRIDS, ids=["multiple", "remainder", "short", "one"])
+def test_hessian_matches_18_pass_reference(dims, monkeypatch):
+    monkeypatch.setattr(vesselness, "_SLAB_VOXELS", SLAB_VOXELS)
+    rng = np.random.default_rng(dims[0])
+    for v in slab_volumes(rng, dims):
+        for sigma in (0.8, 1.5):
+            e = hessian_at_scale(v, sigma)
+            for got, want in zip((e.l1, e.l2, e.l3), hessian_reference(v, sigma)):
+                assert_bits_equal(got, want)
+
+
+@pytest.mark.parametrize("dims", SLAB_GRIDS, ids=["multiple", "remainder", "short", "one"])
+@pytest.mark.parametrize("params", [VesselnessParams(),
+                                    VesselnessParams(alpha=0.3, beta=1.7, c=0.7, c_auto=False)],
+                         ids=["c_auto", "fixed_c"])
+def test_frangi_multiscale_matches_reference(dims, params, monkeypatch):
+    monkeypatch.setattr(vesselness, "_SLAB_VOXELS", SLAB_VOXELS)
+    rng = np.random.default_rng(dims[0] + 10)
+    sigmas = (1.0, 1.5, 2.0)
+    for v in slab_volumes(rng, dims):
+        got = frangi_multiscale(v, ScaleSet(sigmas), params).data
+        assert_bits_equal(got, multiscale_reference(v, sigmas, params))
+
+
+def test_segment_kernels_match_references_at_the_default_slab():
+    # 64 x 64 planes give 32-plane slabs: 40 planes are two slabs.
+    dims = (40, 64, 64)
+    assert len(vesselness._slabs(dims)) == 2
+    rng = np.random.default_rng(40)
+    v = Volume(GridSpec(dims, 1.0), ndimage.gaussian_filter(rng.normal(size=dims), 1.0))
+    e = hessian_at_scale(v, 1.5)
+    for got, want in zip((e.l1, e.l2, e.l3), hessian_reference(v, 1.5)):
+        assert_bits_equal(got, want)
+    params = VesselnessParams()
+    assert_bits_equal(frangi_multiscale(v, ScaleSet((1.0, 2.0)), params).data,
+                      multiscale_reference(v, (1.0, 2.0), params))
+    assert_bits_equal(structure_tensor_orientation(v, 1.0, 2.0).axes,
+                      orientation_reference(v, 1.0, 2.0))
+
+
 # ------------------------------------------------------------ structure tensor
 
 
@@ -156,6 +262,19 @@ def test_structure_tensor_matches_entrywise_tensor(sigma_g, rho):
     x, y, z = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in dims), indexing="ij")
     tube = np.exp(-((x - 4.0 - 0.3 * z) ** 2 + (y - 3.5) ** 2) / 2.0)
     for data in (rng.normal(size=dims), tube, tube + 0.05 * rng.normal(size=dims)):
+        v = Volume(GridSpec(dims, 1.0), data)
+        field = structure_tensor_orientation(v, sigma_g, rho)
+        assert_bits_equal(field.axes, orientation_reference(v, sigma_g, rho))
+
+
+@pytest.mark.parametrize("sigma_g, rho", [(1.0, 2.0), (0.7, 0.0)])
+def test_structure_tensor_over_several_slabs_matches_entrywise_tensor(sigma_g, rho,
+                                                                       monkeypatch):
+    # Two-plane slabs: 9 x 8 x 7 is five slabs, the last one plane deep.
+    monkeypatch.setattr(vesselness, "_SLAB_VOXELS", 2 * 8 * 7)
+    rng = np.random.default_rng(7)
+    dims = (9, 8, 7)
+    for data in (rng.normal(size=dims), rng.integers(-2, 3, size=dims)):
         v = Volume(GridSpec(dims, 1.0), data)
         field = structure_tensor_orientation(v, sigma_g, rho)
         assert_bits_equal(field.axes, orientation_reference(v, sigma_g, rho))

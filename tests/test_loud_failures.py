@@ -173,3 +173,37 @@ def test_degrade_cli_names_bad_sidecar(tmp_path):
     assert code == 1 and out == ""
     assert err.startswith(f"error stage=degrade: bad volume sidecar '{tmp_path / 'v.json'}': ")
     assert not (tmp_path / "out.raw").exists()
+
+
+@pytest.mark.parametrize("fields", [
+    {"dims": [2, 2]},
+    {"dims": 8},
+    {"dims": [2, 2, 0]},
+    {"dims": ["two", 2, 2]},
+    {"dims": [2.5, 2, 2]},      # would read as 2 x 2 x 2, which the raw file matches
+    {"dims": [True, 2, 2]},
+    {"voxel_size_um": -1.0},
+    {"voxel_size_um": True},    # would read as 1.0
+    {"dtype": [1]},
+], ids=["dims-length", "dims-type", "dims-value", "dims-item", "dims-float", "dims-bool",
+        "voxel-size", "voxel-size-bool", "dtype-unhashable"])
+def test_read_volume_names_sidecar_with_bad_fields(tmp_path, fields):
+    write_volume(Volume(GridSpec((2, 2, 2), 1.0), np.zeros((2, 2, 2))), tmp_path / "v")
+    meta = json.loads((tmp_path / "v.json").read_text())
+    (tmp_path / "v.json").write_text(json.dumps({**meta, **fields}))
+    with pytest.raises(ValueError) as err:
+        read_volume(tmp_path / "v")
+    assert str(err.value).startswith(f"bad volume sidecar '{tmp_path / 'v.json'}': ")
+
+
+@pytest.mark.parametrize("fields", [{"dims": [2, 2]}, {"dims": 8}, {"dtype": [1]}],
+                         ids=["dims-length", "dims-type", "dtype-unhashable"])
+def test_degrade_cli_names_sidecar_with_bad_fields(tmp_path, fields):
+    write_volume(Volume(GridSpec((2, 2, 2), 1.0), np.zeros((2, 2, 2))), tmp_path / "v")
+    meta = json.loads((tmp_path / "v.json").read_text())
+    (tmp_path / "v.json").write_text(json.dumps({**meta, **fields}))
+    code, out, err = run_cli("degrade", "--input", str(tmp_path / "v"),
+                             "--output", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error stage=degrade: bad volume sidecar '{tmp_path / 'v.json'}': ")
+    assert not (tmp_path / "out.raw").exists()
