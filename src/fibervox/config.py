@@ -97,9 +97,8 @@ def _check_value(path: str, value, default) -> object:
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ValueError(f"config key '{path}' must be a list")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
-            raise ValueError(f"config key '{path}' must hold numbers only")
-        return [type(default[0])(v) if default else v for v in value]
+        # Each entry obeys the rule of the default's first entry.
+        return [_check_value(f"{path}[{i}]", v, default[0]) for i, v in enumerate(value)]
     raise ValueError(f"config key '{path}' has unsupported type")
 
 

@@ -13,6 +13,7 @@ masks are stored as 8-bit unsigned int (tag ``"u8"``) and read as labels.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,16 +128,28 @@ def _write_raw(path_stem: str | Path, samples: np.ndarray, tag: str, order: str 
                **fields) -> tuple[Path, Path]:
     """Write ``samples`` as ``tag`` values in C order to ``<stem>.raw`` and
     ``fields`` plus dtype, order and endianness to ``<stem>.json``. Returns
-    both paths."""
+    both paths.
+
+    Each file is written to a temporary sibling and moved into place with
+    ``os.replace``, so an interrupted write leaves the previous file whole
+    rather than a truncated one."""
     stem = Path(path_stem)
     json_path = stem.with_name(stem.name + ".json")
     raw_path = stem.with_name(stem.name + ".raw")
     meta = {**fields, "dtype": tag, "order": order, "endianness": RAW_ENDIANNESS}
+    payloads = {json_path: (json.dumps(meta) + "\n").encode(),
+                raw_path: samples.astype(_DTYPES[tag], copy=False).tobytes()}
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in payloads}
     try:
-        json_path.write_text(json.dumps(meta) + "\n")
-        raw_path.write_bytes(samples.astype(_DTYPES[tag], copy=False).tobytes())
+        for path, payload in payloads.items():
+            temps[path].write_bytes(payload)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"failed to write '{stem}': {exc}") from exc
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
     return json_path, raw_path
 
 

@@ -123,3 +123,28 @@ def test_degrade_params_pull_levels_from_raster():
     dp = cfg.degrade_params()
     assert dp.fiber_value == 3.0 and dp.matrix_value == 1.0
     assert math.isfinite(dp.snr)
+
+
+@pytest.mark.parametrize("dims, msg", [
+    ([24.9, 24, 24], "'grid.dims\\[0\\]' must be an integer"),
+    ([24, 24.0, 24], "'grid.dims\\[1\\]' must be an integer"),
+    ([24, 24, True], "'grid.dims\\[2\\]' must be an integer"),
+    ([24, "24", 24], "'grid.dims\\[1\\]' must be an integer"),
+    ([24, None, 24], "'grid.dims\\[1\\]' must not be null"),
+])
+def test_int_list_entries_must_be_integers(dims, msg):
+    with pytest.raises(ValueError, match=msg):
+        PipelineConfig.from_dict({"grid": {"dims": dims}})
+    with pytest.raises(ValueError, match=msg):
+        PipelineConfig().apply_overrides([f"grid.dims={json.dumps(dims)}"])
+
+
+def test_float_list_entries_accept_numbers_only():
+    cfg = PipelineConfig.from_dict({"segment": {"scales": [1, 2.5]}})
+    assert cfg.raw["segment"]["scales"] == [1.0, 2.5]
+    with pytest.raises(ValueError, match="'segment.scales\\[1\\]' must be a number"):
+        PipelineConfig.from_dict({"segment": {"scales": [1.0, "2"]}})
+    with pytest.raises(ValueError, match="'segment.scales\\[0\\]' must be a number"):
+        PipelineConfig.from_dict({"segment": {"scales": [False]}})
+    assert PipelineConfig.from_dict({"grid": {"dims": [24, 32, 16]}}).grid_spec().dims == \
+        (24, 32, 16)

@@ -1,5 +1,7 @@
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,3 +158,51 @@ def test_neighbors_26():
     assert (0, 0, 0) not in NEIGHBORS_26
     for off in NEIGHBORS_26:
         assert all(d in (-1, 0, 1) for d in off)
+
+
+def _gray(value, n=4):
+    return Volume(GridSpec((n, n, n), 1.0), np.full((n, n, n), value, np.float32))
+
+
+def test_failed_write_keeps_previous_files(tmp_path, monkeypatch):
+    stem = tmp_path / "v"
+    write_volume(_gray(1.0), stem)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def disk_full(path, data):
+        # half the payload reaches the disk, then the device is full
+        with open(path, "wb") as f:
+            f.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full)
+    with pytest.raises(OSError, match="failed to write .*No space left"):
+        write_volume(_gray(2.0, n=6), stem)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    np.testing.assert_array_equal(read_volume(stem).data, 1.0)
+
+
+def test_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
+    stem = tmp_path / "v"
+    write_volume(_gray(1.0), stem)
+    real_replace = os.replace
+
+    def replace_json_only(src, dst):
+        if str(dst).endswith(".raw"):
+            raise OSError(5, "Input/output error")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_json_only)
+    with pytest.raises(OSError, match="failed to write"):
+        write_volume(_gray(1.0), stem)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json", "v.raw"]
+
+
+def test_write_leaves_no_temporary_file(tmp_path):
+    stem = tmp_path / "v"
+    for value in (1.0, 2.0):
+        write_volume(_gray(value), stem)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json", "v.raw"]
+    np.testing.assert_array_equal(read_volume(stem).data, 2.0)
