@@ -9,8 +9,9 @@
 also keeps its stages' stdout in ``summaries.txt``. The output is one
 ``sha256  path`` line per file, sorted by path, so a refactor that must keep
 every artifact byte-identical is checked by running this on both commits and
-comparing the two outputs. The package and the test chain are imported from
-the checkout that holds this script.
+comparing the two outputs. The script exits nonzero, printing no manifest, if
+either chain leaves a temporary ``.*.tmp`` file behind. The package and the
+test chain are imported from the checkout that holds this script.
 """
 
 import contextlib
@@ -56,6 +57,9 @@ def main_manifest(out_dir: Path) -> None:
         d.mkdir(parents=True, exist_ok=False)
         summaries = chain(d)
         (d / "summaries.txt").write_text("".join(summaries))
+    leftovers = sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob(".*.tmp"))
+    if leftovers:
+        sys.exit(f"temporary files left behind: {', '.join(leftovers)}")
     for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out_dir)}")

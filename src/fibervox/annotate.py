@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .fibers import _fiber_arrays
-from .volume import NEIGHBORS_26, GridSpec, LabelVolume, Volume
+from .volume import NEIGHBORS_26, GridSpec, LabelVolume, Volume, write_files
 
 # Stands for "no offer": larger than every uint32 label.
 _NO_OFFER = np.int64(2**62)
@@ -158,9 +158,9 @@ def annotations_from_fibers(fibers, grid: GridSpec) -> list[PolylineAnnotation]:
             for fiber, a, b in zip(fibers, *ends) if a != b]
 
 
-def write_annotations(annotations: list[PolylineAnnotation], path: str | Path) -> None:
+def write_annotations(annotations: list[PolylineAnnotation], path: str | Path) -> list[Path]:
     payload = [{"id": a.id, "points": [list(p) for p in a.points]} for a in annotations]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    return write_files({path: (json.dumps(payload, indent=2) + "\n").encode()}, path)
 
 
 def read_annotations(path: str | Path) -> list[PolylineAnnotation]:

@@ -4,7 +4,9 @@ Subcommands chain through files on disk, so any pipeline prefix can be
 resumed: generate -> rasterize -> degrade/fbp -> annotate -> segment ->
 evaluate -> stats. Every stage prints a one-line JSON summary on success and
 ``error stage=<name>: <message>`` on stderr with a nonzero exit otherwise.
-Partial outputs of a failed stage are removed.
+Every artifact is written to a temporary file and moved into place with
+``os.replace``. A failed stage removes the files it wrote, and never one it
+failed to replace.
 """
 
 from __future__ import annotations
@@ -21,18 +23,18 @@ from .annotate import annotations_from_fibers, read_annotations, region_grow, re
 from .config import PipelineConfig
 from .ctsim import (degrade, rasterize_attenuation, rasterize_labels, simulate_fbp,
                     write_sinogram)
-from .fibers import (FiberModel, audit_model, generate_model, histogram_fields,
-                     length_histogram, model_statistics, orientation_histograms,
-                     read_fibers_csv, write_fibers_csv)
+from .fibers import (FiberModel, generate_model, histogram_fields, length_histogram,
+                     model_statistics, orientation_histograms, read_fibers_csv,
+                     stats_document, write_fibers_csv)
 from .mesh import write_stl
 from .metrics import evaluate
 from .vesselness import (binarize, connected_components, frangi_multiscale,
                          structure_tensor_orientation, write_orientation_field)
-from .volume import FORMAT_VERSION, LabelVolume, Volume, read_volume, write_volume
+from .volume import FORMAT_VERSION, LabelVolume, Volume, read_volume, write_files, write_volume
 
 
 class _Outputs:
-    """Tracks files a stage intends to write so failures can clean them up."""
+    """Tracks the files a stage has written so a failure can remove them."""
 
     def __init__(self):
         self.paths: list[Path] = []
@@ -40,10 +42,12 @@ class _Outputs:
     def track(self, *paths) -> None:
         self.paths.extend(Path(p) for p in paths)
 
-    def track_stem(self, stem) -> Path:
-        stem = Path(stem)
-        self.track(Path(str(stem) + ".json"), Path(str(stem) + ".raw"))
-        return stem
+    def write_json(self, path, payload: dict) -> str:
+        """The indented JSON text of ``payload``, also written to ``path`` if given."""
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if path:
+            self.track(*write_files({path: text.encode()}, path))
+        return text
 
     def cleanup(self) -> None:
         for p in self.paths:
@@ -67,31 +71,17 @@ def _summary(**fields) -> None:
 
 def _cmd_generate(args, cfg: PipelineConfig, out: _Outputs) -> None:
     model = generate_model(cfg.model_params())
-    stats = model_statistics(model)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    csv_path = out_dir / "fibers.csv"
-    out.track(csv_path)
-    write_fibers_csv(model.fibers, csv_path)
-
-    stl_path = out_dir / "model.stl"
-    out.track(stl_path)
-    write_stl(model, stl_path, args.stl_sides)
-
-    payload = stats.to_dict()
-    payload["attempts_used"] = model.attempts_used
-    payload["stop_reason"] = model.stop_reason
+    out.track(*write_fibers_csv(model.fibers, out_dir / "fibers.csv"))
+    write_stl(model, out_dir / "model.stl", args.stl_sides)
+    out.track(out_dir / "model.stl")
+    stats = stats_document(model, audit=args.audit)
+    out.write_json(out_dir / "stats.json", stats)
     stalled = {"stalled": model.stalled} if model.stalled else {}
-    payload.update(stalled)
-    if args.audit:
-        payload["audit"] = audit_model(model)
-    stats_path = out_dir / "stats.json"
-    out.track(stats_path)
-    stats_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _summary(stage="generate", fibers=stats.fiber_count,
-             volume_fraction=stats.volume_fraction,
-             attempts_used=model.attempts_used, stop_reason=model.stop_reason, **stalled)
+    _summary(stage="generate", fibers=stats["fiber_count"],
+             volume_fraction=stats["volume_fraction"], attempts_used=model.attempts_used,
+             stop_reason=model.stop_reason, **stalled)
 
 
 def _cmd_rasterize(args, cfg: PipelineConfig, out: _Outputs) -> None:
@@ -104,8 +94,8 @@ def _cmd_rasterize(args, cfg: PipelineConfig, out: _Outputs) -> None:
                                   levels=(raster["fiber_value"], raster["matrix_value"]))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_volume(labels, out.track_stem(out_dir / "gt"))
-    write_volume(atten, out.track_stem(out_dir / "atten"))
+    out.track(*write_volume(labels, out_dir / "gt"))
+    out.track(*write_volume(atten, out_dir / "atten"))
     _summary(stage="rasterize", conflicts=conflicts,
              labeled_voxels=int(np.count_nonzero(labels.data)))
 
@@ -113,7 +103,7 @@ def _cmd_rasterize(args, cfg: PipelineConfig, out: _Outputs) -> None:
 def _cmd_degrade(args, cfg: PipelineConfig, out: _Outputs) -> None:
     gray = _require(Volume, read_volume(args.input), args.input)
     result = degrade(gray, cfg.degrade_params())
-    write_volume(result, out.track_stem(args.output))
+    out.track(*write_volume(result, args.output))
     _summary(stage="degrade", mean=float(result.data.mean()))
 
 
@@ -126,9 +116,9 @@ def _cmd_fbp(args, cfg: PipelineConfig, out: _Outputs) -> None:
         sino_dir.mkdir(parents=True, exist_ok=True)
 
         def sink(k, sino):
-            write_sinogram(sino, out.track_stem(sino_dir / f"sino_z{k:04d}"))
+            out.track(*write_sinogram(sino, sino_dir / f"sino_z{k:04d}"))
     result = simulate_fbp(gray, n_angles, sink)
-    write_volume(result, out.track_stem(args.output))
+    out.track(*write_volume(result, args.output))
     _summary(stage="fbp", n_angles=n_angles)
 
 
@@ -140,7 +130,7 @@ def _cmd_annotate(args, cfg: PipelineConfig, out: _Outputs) -> None:
         chains = annotations_from_fibers(read_fibers_csv(args.from_fibers), gray.grid)
     seeds, conflicts = render_polylines(chains, gray.grid)
     labels = region_grow(gray, seeds, cfg.raw["annotate"]["threshold"])
-    write_volume(labels, out.track_stem(args.output))
+    out.track(*write_volume(labels, args.output))
     _summary(stage="annotate", chains=len(chains), conflicts=conflicts,
              labeled_voxels=int(np.count_nonzero(labels.data)))
 
@@ -159,15 +149,12 @@ def _cmd_segment(args, cfg: PipelineConfig, out: _Outputs) -> None:
     instances = connected_components(mask)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_volume(response, out.track_stem(out_dir / "vess"))
-    write_volume(mask, out.track_stem(out_dir / "mask"))
-    write_volume(instances, out.track_stem(out_dir / "pred"))
+    for vol, name in ((response, "vess"), (mask, "mask"), (instances, "pred")):
+        out.track(*write_volume(vol, out_dir / name))
     if args.orientation:
         field = structure_tensor_orientation(gray, seg["orientation_sigma_g"],
                                              seg["orientation_rho"])
-        for suffix in (".ox", ".oy", ".oz", ".valid"):
-            out.track_stem(args.orientation + suffix)
-        write_orientation_field(field, args.orientation)
+        out.track(*write_orientation_field(field, args.orientation))
     _summary(stage="segment", components=int(instances.data.max()),
              mask_voxels=int(np.count_nonzero(mask.data)))
 
@@ -181,11 +168,7 @@ def _cmd_evaluate(args, cfg: PipelineConfig, out: _Outputs) -> None:
             f"vs pred dims {pred.grid.dims} (voxel {pred.grid.voxel_size} um)")
     report = evaluate(truth.data, pred.data,
                       ignore_background=cfg.raw["evaluate"]["ignore_background"])
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    path = Path(args.output)
-    out.track(path)
-    path.write_text(text)
-    sys.stdout.write(text)
+    sys.stdout.write(out.write_json(args.output, report.to_dict()))
 
 
 def _label_statistics(vol: LabelVolume) -> dict:
@@ -232,12 +215,7 @@ def _cmd_stats(args, cfg: PipelineConfig, out: _Outputs) -> None:
     else:
         labels = _require(LabelVolume, read_volume(args.labels), args.labels)
         payload = _label_statistics(labels)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        path = Path(args.output)
-        out.track(path)
-        path.write_text(text)
-    sys.stdout.write(text)
+    sys.stdout.write(out.write_json(args.output, payload))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,6 +316,8 @@ def main(argv=None) -> int:
         _HANDLERS[args.command](args, cfg, outputs)
         return 0
     except Exception as exc:  # noqa: BLE001 - single CLI error boundary
+        # files a failed write had already moved into place count as written
+        outputs.track(*getattr(exc, "written", ()))
         outputs.cleanup()
         message = " ".join(str(exc).split())
         print(f"error stage={args.command}: {message}", file=sys.stderr)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import ndimage
 
 from .fibers import FiberModel, _fiber_arrays
-from .volume import GridSpec, LabelVolume, Volume, _write_raw
+from .volume import GridSpec, LabelVolume, Volume, _raw_payloads, write_files
 
 
 @dataclass(frozen=True)
@@ -364,7 +364,8 @@ def simulate_fbp(v: Volume, n_angles: int, sinogram_sink=None) -> Volume:
     return Volume(grid=v.grid, data=_backproject(sino, angles, v.grid.dims[:2]).astype(np.float32))
 
 
-def write_sinogram(sino: Sinogram, path_stem: str | Path) -> None:
+def write_sinogram(sino: Sinogram, path_stem: str | Path) -> list[Path]:
     """Optional sinogram dump: f32 raw (angle-major) plus a JSON sidecar."""
-    _write_raw(path_stem, sino.data, "f32", order="detector-fastest", n_angles=sino.n_angles,
-               n_detectors=sino.n_detectors, angles_rad=[float(a) for a in sino.angles])
+    return write_files(_raw_payloads(
+        path_stem, sino.data, "f32", order="detector-fastest", n_angles=sino.n_angles,
+        n_detectors=sino.n_detectors, angles_rad=[float(a) for a in sino.angles]), path_stem)

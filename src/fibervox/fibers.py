@@ -8,12 +8,15 @@ and slightly conservative near fiber ends.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .volume import write_files
 
 # Glass fiber / epoxy matrix densities in g/cc used for weight-fraction accounting.
 GLASS_DENSITY = 2.54
@@ -107,7 +110,7 @@ class FiberModel:
 
     @property
     def volume_fraction(self) -> float:
-        return sum(f.volume for f in self.fibers) / self.params.box_edge**3
+        return model_statistics(self).volume_fraction
 
 
 @dataclass
@@ -485,11 +488,22 @@ def model_statistics(model: FiberModel) -> ModelStats:
     )
 
 
-def write_fibers_csv(fibers: list[Fiber], path: str | Path) -> None:
+def stats_document(model: FiberModel, audit: bool = False) -> dict:
+    """``generate``'s ``stats.json``: the model statistics, ``attempts_used``,
+    ``stop_reason``, ``stalled`` when set and, if asked, the audit counts."""
+    stalled = {"stalled": model.stalled} if model.stalled else {}
+    audit_counts = {"audit": audit_model(model)} if audit else {}
+    return {**model_statistics(model).to_dict(), "attempts_used": model.attempts_used,
+            "stop_reason": model.stop_reason, **stalled, **audit_counts}
+
+
+def write_fibers_csv(fibers: list[Fiber], path: str | Path) -> list[Path]:
     """Write the fiber list as CSV: id,x0,y0,z0,x1,y1,z1,radius_um (6 decimals)."""
     table = np.column_stack([[f.id for f in fibers], *_fiber_arrays(fibers)])
-    np.savetxt(path, table, fmt=["%d"] + ["%.6f"] * 7, delimiter=",",
+    text = io.StringIO()
+    np.savetxt(text, table, fmt=["%d"] + ["%.6f"] * 7, delimiter=",",
                header=_CSV_HEADER, comments="")
+    return write_files({path: text.getvalue().encode()}, path)
 
 
 def read_fibers_csv(path: str | Path) -> list[Fiber]:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .fibers import _fiber_arrays
+from .volume import write_files
 
 _TRI_DTYPE = np.dtype([
     ("normal", "<f4", 3),
@@ -89,10 +90,7 @@ def export_stl(model, segments_per_circle: int = 24) -> bytes:
 def write_stl(model, path: str | Path, segments_per_circle: int = 24) -> int:
     """Write the model's STL to a file; returns the triangle count."""
     payload = export_stl(model, segments_per_circle)
-    try:
-        Path(path).write_bytes(payload)
-    except OSError as exc:
-        raise OSError(f"cannot write STL '{path}': {exc}") from exc
+    write_files({path: payload}, path)
     return (len(payload) - 84) // 50
 
 

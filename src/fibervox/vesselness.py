@@ -24,7 +24,7 @@ import numpy as np
 from scipy import ndimage
 
 from .fibers import hemisphere
-from .volume import GridSpec, LabelVolume, Volume, _write_raw, read_volume, write_volume
+from .volume import GridSpec, LabelVolume, Volume, _raw_payloads, read_volume, write_files
 
 # Voxels per slab of the per-voxel steps (eigensolves, sort, response): 8 x
 # 128 x 128, so that each of their float64 temporaries stays near 1 MB whatever
@@ -53,6 +53,8 @@ class VesselnessParams:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if not self.c_auto and not (self.c is not None and self.c > 0):
             raise ValueError("c must be a positive real when c_auto is off")
+        if self.c_auto and self.c is not None:
+            raise ValueError(f"c = {self.c} is ignored while c_auto is on; leave c null")
 
 
 @dataclass(frozen=True)
@@ -292,6 +294,8 @@ def binarize(v: Volume, method: str = "otsu", threshold: float | None = None) ->
             raise ValueError("fixed binarization needs a finite threshold")
         t = float(threshold)
     elif method == "otsu":
+        if threshold is not None:
+            raise ValueError(f"threshold = {threshold} is ignored by otsu; leave it null")
         t = otsu_threshold(v)
     else:
         raise ValueError(f"unknown binarization method '{method}'")
@@ -368,16 +372,17 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
     return OrientationField(grid=v.grid, axes=axes, valid=valid)
 
 
-def write_orientation_field(field: OrientationField, path_stem: str | Path) -> None:
+def write_orientation_field(field: OrientationField, path_stem: str | Path) -> list[Path]:
     """Persist as four sibling volumes: stem.ox/.oy/.oz (f32 components) and
-    stem.valid (u8 mask, same raw+JSON layout with dtype tag "u8")."""
+    stem.valid (u8 mask, same raw+JSON layout with dtype tag "u8"). All eight
+    files move into place together; returns their paths."""
     stem = str(path_stem)
+    grid = {"dims": list(field.grid.dims), "voxel_size_um": field.grid.voxel_size}
+    payloads = _raw_payloads(stem + ".valid", field.valid.ravel(order="F"), "u8", **grid)
     for suffix, idx in ((".ox", 0), (".oy", 1), (".oz", 2)):
-        write_volume(Volume(grid=field.grid,
-                            data=np.ascontiguousarray(field.axes[..., idx])),
-                     stem + suffix)
-    _write_raw(stem + ".valid", field.valid.ravel(order="F"), "u8",
-               dims=list(field.grid.dims), voxel_size_um=field.grid.voxel_size)
+        payloads.update(_raw_payloads(stem + suffix, field.axes[..., idx].ravel(order="F"),
+                                      "f32", **grid))
+    return write_files(payloads, stem)
 
 
 def read_orientation_field(path_stem: str | Path) -> OrientationField:

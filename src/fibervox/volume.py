@@ -8,6 +8,8 @@ On disk a volume is a pair of files sharing a stem: ``<stem>.json`` carries
 the metadata and ``<stem>.raw`` the little-endian sample stream. Gray data is
 32-bit float (tag ``"f32"``), label data 32-bit unsigned int (tag ``"u32"``);
 masks are stored as 8-bit unsigned int (tag ``"u8"``) and read as labels.
+Every artifact is written to a temporary file and moved into place with
+``os.replace`` (:func:`write_files`), so a failed write keeps the previous file.
 """
 
 from __future__ import annotations
@@ -124,36 +126,41 @@ class LabelVolume(_Samples):
         return cls(grid, np.zeros(grid.dims, dtype=np.uint32))
 
 
-def _write_raw(path_stem: str | Path, samples: np.ndarray, tag: str, order: str = RAW_ORDER,
-               **fields) -> tuple[Path, Path]:
-    """Write ``samples`` as ``tag`` values in C order to ``<stem>.raw`` and
-    ``fields`` plus dtype, order and endianness to ``<stem>.json``. Returns
-    both paths.
-
-    Each file is written to a temporary sibling and moved into place with
-    ``os.replace``, so an interrupted write leaves the previous file whole
-    rather than a truncated one."""
-    stem = Path(path_stem)
-    json_path = stem.with_name(stem.name + ".json")
-    raw_path = stem.with_name(stem.name + ".raw")
-    meta = {**fields, "dtype": tag, "order": order, "endianness": RAW_ENDIANNESS}
-    payloads = {json_path: (json.dumps(meta) + "\n").encode(),
-                raw_path: samples.astype(_DTYPES[tag], copy=False).tobytes()}
+def write_files(payloads: dict[str | Path, bytes], name: str | Path) -> list[Path]:
+    """Write ``{path: bytes}`` payloads, each to a temporary sibling, then move
+    them all into place with ``os.replace``; returns the paths written. The
+    temporaries are always removed. A failure raises ``OSError`` ``failed to
+    write '<name>'``, whose ``written`` lists the files already moved into place."""
+    payloads = {Path(path): payload for path, payload in payloads.items()}
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in payloads}
+    written = []
     try:
         for path, payload in payloads.items():
             temps[path].write_bytes(payload)
         for path, tmp in temps.items():
             os.replace(tmp, path)
+            written.append(path)
     except OSError as exc:
-        raise OSError(f"failed to write '{stem}': {exc}") from exc
+        error = OSError(f"failed to write '{name}': {exc}")
+        error.written = written
+        raise error from exc
     finally:
         for tmp in temps.values():
             tmp.unlink(missing_ok=True)
-    return json_path, raw_path
+    return written
 
 
-def write_volume(vol: Volume | LabelVolume, path_stem: str | Path) -> tuple[Path, Path]:
+def _raw_payloads(path_stem: str | Path, samples: np.ndarray, tag: str, order: str = RAW_ORDER,
+                  **fields) -> dict[Path, bytes]:
+    """:func:`write_files` payloads: ``fields`` plus dtype, order and endianness
+    for ``<stem>.json``, ``samples`` as ``tag`` values in C order for ``<stem>.raw``."""
+    stem = Path(path_stem)
+    meta = {**fields, "dtype": tag, "order": order, "endianness": RAW_ENDIANNESS}
+    return {stem.with_name(stem.name + ".json"): (json.dumps(meta) + "\n").encode(),
+            stem.with_name(stem.name + ".raw"): samples.astype(_DTYPES[tag], copy=False).tobytes()}
+
+
+def write_volume(vol: Volume | LabelVolume, path_stem: str | Path) -> list[Path]:
     """Write ``<stem>.json`` metadata and ``<stem>.raw`` sample stream.
 
     The raw file holds exactly nx*ny*nz values, little-endian, x-fastest.
@@ -165,8 +172,8 @@ def write_volume(vol: Volume | LabelVolume, path_stem: str | Path) -> tuple[Path
         tag = "u32"
     else:
         raise TypeError(f"expected Volume or LabelVolume, got {type(vol).__name__}")
-    return _write_raw(path_stem, vol.flat, tag, dims=list(vol.grid.dims),
-                      voxel_size_um=vol.grid.voxel_size)
+    return write_files(_raw_payloads(path_stem, vol.flat, tag, dims=list(vol.grid.dims),
+                                     voxel_size_um=vol.grid.voxel_size), path_stem)
 
 
 def read_volume(path_stem: str | Path) -> Volume | LabelVolume:

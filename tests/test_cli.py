@@ -12,7 +12,8 @@ import pytest
 
 from fibervox.cli import main as cli_main
 from fibervox.config import PipelineConfig
-from fibervox.fibers import FiberModel, model_statistics, read_fibers_csv
+from fibervox.fibers import (FiberModel, generate_model, model_statistics, read_fibers_csv,
+                             stats_document)
 from fibervox.volume import GridSpec, LabelVolume, Volume, read_volume, write_volume
 
 
@@ -280,3 +281,11 @@ def test_generate_reports_stalled_fiber(tmp_path, workdir):
     assert lines["generate"]["stop_reason"] == "target"
     assert "stalled" not in lines["generate"]
     assert "stalled" not in json.loads((root / "stats.json").read_text())
+
+
+def test_stats_json_is_the_stats_document(workdir):
+    root, cfg_path, _ = workdir
+    model = generate_model(PipelineConfig.load(cfg_path).model_params())
+    document = json.loads(json.dumps(stats_document(model, audit=True)))
+    assert json.loads((root / "stats.json").read_text()) == document
+    assert "audit" not in stats_document(model)

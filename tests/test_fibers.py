@@ -358,3 +358,12 @@ def test_csv_header_only_reads_empty(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert read_fibers_csv(path) == []
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_volume_fraction_is_the_statistics_sum(seed):
+    m = generate_model(ModelParams(seed=seed, **SMALL))
+    assert m.volume_fraction == model_statistics(m).volume_fraction
+    # one stacked sum gives the per-fiber volumes' sum bit for bit
+    assert m.volume_fraction == sum(f.volume for f in m.fibers) / SMALL["box_edge"] ** 3
+    assert FiberModel(params=ModelParams()).volume_fraction == 0.0

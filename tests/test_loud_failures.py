@@ -9,8 +9,8 @@ import pytest
 from fibervox.annotate import PolylineAnnotation, read_annotations
 from fibervox.fibers import read_fibers_csv
 from fibervox.metrics import _pair_count_sum
-from fibervox.vesselness import (read_orientation_field, structure_tensor_orientation,
-                                 write_orientation_field)
+from fibervox.vesselness import (VesselnessParams, binarize, read_orientation_field,
+                                 structure_tensor_orientation, write_orientation_field)
 from fibervox.volume import GridSpec, LabelVolume, Volume, read_volume, write_volume
 from test_cli import TINY, run_cli
 
@@ -207,3 +207,27 @@ def test_degrade_cli_names_sidecar_with_bad_fields(tmp_path, fields):
     assert code == 1 and out == ""
     assert err.startswith(f"error stage=degrade: bad volume sidecar '{tmp_path / 'v.json'}': ")
     assert not (tmp_path / "out.raw").exists()
+
+
+def test_c_with_c_auto_is_rejected():
+    with pytest.raises(ValueError, match="c = 0.3 is ignored while c_auto is on"):
+        VesselnessParams(c=0.3)
+    assert VesselnessParams(c=0.3, c_auto=False).c == 0.3
+
+
+def test_threshold_with_otsu_is_rejected():
+    v = Volume(GridSpec((4, 4, 4), 1.0), np.arange(64.0).reshape(4, 4, 4))
+    with pytest.raises(ValueError, match="threshold = 0.5 is ignored by otsu"):
+        binarize(v, method="otsu", threshold=0.5)
+    assert binarize(v, method="fixed", threshold=0.5).data.sum() == 63
+
+
+def test_segment_cli_rejects_c_with_c_auto(tmp_path):
+    grid = GridSpec(dims=(6, 6, 6), voxel_size=1.0)
+    write_volume(Volume(grid=grid, data=np.ones(grid.dims)), tmp_path / "gray")
+    code, out, err = run_cli("segment", "--set", "segment.c=0.3",
+                             "--input", str(tmp_path / "gray"), "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error stage=segment:")
+    assert "c_auto" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gray.json", "gray.raw"]
