@@ -28,7 +28,7 @@ from .fibers import (FiberModel, generate_model, histogram_fields, length_histog
                      stats_document, write_fibers_csv)
 from .mesh import write_stl
 from .metrics import evaluate
-from .vesselness import (binarize, connected_components, frangi_multiscale,
+from .vesselness import (binarize, check_binarize, connected_components, frangi_multiscale,
                          structure_tensor_orientation, write_orientation_field)
 from .volume import FORMAT_VERSION, LabelVolume, Volume, read_volume, write_files, write_volume
 
@@ -144,11 +144,17 @@ def _cmd_segment(args, cfg: PipelineConfig, out: _Outputs) -> None:
         prepared = Volume(grid=gray.grid, data=-gray.data)
     else:
         raise ValueError(f"segment.polarity must be 'bright' or 'dark', got {seg['polarity']!r}")
-    response = frangi_multiscale(prepared, cfg.scale_set(), cfg.vesselness_params())
-    mask = binarize(response, method=seg["binarize"], threshold=seg["threshold"])
-    instances = connected_components(mask)
+    # Every setting and output directory is checked before the filter runs.
+    scales, params = cfg.scale_set(), cfg.vesselness_params()
+    check_binarize(seg["binarize"], seg["threshold"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if args.orientation and not Path(args.orientation).parent.is_dir():
+        raise OSError(f"failed to write '{args.orientation}': "
+                      f"no directory '{Path(args.orientation).parent}'")
+    response = frangi_multiscale(prepared, scales, params)
+    mask = binarize(response, method=seg["binarize"], threshold=seg["threshold"])
+    instances = connected_components(mask)
     for vol, name in ((response, "vess"), (mask, "mask"), (instances, "pred")):
         out.track(*write_volume(vol, out_dir / name))
     if args.orientation:
@@ -156,7 +162,7 @@ def _cmd_segment(args, cfg: PipelineConfig, out: _Outputs) -> None:
                                              seg["orientation_rho"])
         out.track(*write_orientation_field(field, args.orientation))
     _summary(stage="segment", components=int(instances.data.max()),
-             mask_voxels=int(np.count_nonzero(mask.data)))
+             mask_voxels=int(np.count_nonzero(mask.data)), scales=list(scales.sigmas))
 
 
 def _cmd_evaluate(args, cfg: PipelineConfig, out: _Outputs) -> None:
@@ -185,10 +191,6 @@ def _label_statistics(vol: LabelVolume) -> dict:
     lengths = []
     axes = []
     for pts in np.split(pts_all, boundaries) if ids.size else []:
-        if len(pts) < 2:
-            lengths.append(h)
-            axes.append(np.array([0.0, 0.0, 1.0]))
-            continue
         centered = pts - pts.mean(axis=0)
         cov = centered.T @ centered / len(pts)
         _, vecs = np.linalg.eigh(cov)

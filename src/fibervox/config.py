@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ctsim import DegradeParams
-from .fibers import ModelParams
-from .vesselness import ScaleSet, VesselnessParams
+from .fibers import EPOXY_DENSITY, GLASS_DENSITY, ModelParams
+from .vesselness import ScaleSet, VesselnessParams, default_scales
 from .volume import GridSpec
 
 
@@ -35,8 +35,8 @@ def default_config() -> dict:
         },
         "raster": {
             "supersample": 3,
-            "fiber_value": 2.54,
-            "matrix_value": 1.31,
+            "fiber_value": GLASS_DENSITY,
+            "matrix_value": EPOXY_DENSITY,
         },
         "degrade": {
             "psf_sigma_um": 4.0,
@@ -51,7 +51,8 @@ def default_config() -> dict:
             "threshold": 1.925,
         },
         "segment": {
-            "scales": [1.0, 1.5, 2.0],
+            # null: default_scales of model.radius and grid.voxel_size_um.
+            "scales": None,
             "alpha": 0.5,
             "beta": 0.5,
             "c": None,
@@ -68,13 +69,18 @@ def default_config() -> dict:
     }
 
 
+# Nullable keys hold floats when set, except these, which hold lists of floats.
+_NULLABLE_LISTS = {"segment.scales"}
+
+
 def _check_value(path: str, value, default) -> object:
     if value is None:
         if default is None:
             return None
         raise ValueError(f"config key '{path}' must not be null")
     if default is None:
-        # Nullable keys hold floats when set.
+        if path in _NULLABLE_LISTS:
+            return _check_value(path, value, [0.0])
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"config key '{path}' must be a number or null")
         return float(value)
@@ -185,7 +191,10 @@ class PipelineConfig:
                              matrix_value=r["matrix_value"])
 
     def scale_set(self) -> ScaleSet:
-        return ScaleSet(sigmas=tuple(self.raw["segment"]["scales"]))
+        scales = self.raw["segment"]["scales"]
+        if scales is None:
+            return default_scales(self.raw["model"]["radius"], self.raw["grid"]["voxel_size_um"])
+        return ScaleSet(sigmas=tuple(scales))
 
     def vesselness_params(self) -> VesselnessParams:
         s = self.raw["segment"]

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .fibers import FiberModel, _fiber_arrays
+from .fibers import EPOXY_DENSITY, GLASS_DENSITY, FiberModel, _fiber_arrays
 from .volume import GridSpec, LabelVolume, Volume, _raw_payloads, write_files
 
 
@@ -40,8 +40,8 @@ class DegradeParams:
     psf_sigma: float = 4.0
     snr: float = 20.0
     noise_seed: int = 0
-    fiber_value: float = 2.54
-    matrix_value: float = 1.31
+    fiber_value: float = GLASS_DENSITY
+    matrix_value: float = EPOXY_DENSITY
 
     def __post_init__(self):
         if self.psf_sigma < 0:
@@ -124,7 +124,7 @@ def rasterize_labels(m: FiberModel, grid: GridSpec) -> tuple[LabelVolume, int]:
 
 
 def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
-                          levels: tuple[float, float] = (2.54, 1.31)) -> Volume:
+                          levels: tuple[float, float] = (GLASS_DENSITY, EPOXY_DENSITY)) -> Volume:
     """Anti-aliased attenuation volume.
 
     Voxel value = matrix + (fiber - matrix) * occupancy, with occupancy the
@@ -155,14 +155,13 @@ def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
         region = counts[box]
         region[dist <= fiber.radius - half_diag] = s3
         shell = (dist > fiber.radius - half_diag) & (dist < fiber.radius + half_diag)
-        if shell.any():
-            si, sj, sk = np.nonzero(shell)
-            pts = np.stack([c[s][i] for c, s, i in zip(centers, box, (si, sj, sk))], axis=-1)
-            sub_pts = pts[None, :, :] + offsets[:, None, :]
-            d2s = dist_sq(sub_pts[..., 0], sub_pts[..., 1], sub_pts[..., 2])
-            inside = (d2s <= fiber.radius**2).sum(axis=0).astype(np.uint16)
-            region[si, sj, sk] = np.minimum(
-                region[si, sj, sk].astype(np.int64) + inside, s3).astype(np.uint16)
+        si, sj, sk = np.nonzero(shell)
+        pts = np.stack([c[s][i] for c, s, i in zip(centers, box, (si, sj, sk))], axis=-1)
+        sub_pts = pts[None, :, :] + offsets[:, None, :]
+        d2s = dist_sq(sub_pts[..., 0], sub_pts[..., 1], sub_pts[..., 2])
+        inside = (d2s <= fiber.radius**2).sum(axis=0).astype(np.uint16)
+        region[si, sj, sk] = np.minimum(
+            region[si, sj, sk].astype(np.int64) + inside, s3).astype(np.uint16)
 
     frac = counts.astype(np.float64) / s3
     out = matrix_value + (fiber_value - matrix_value) * frac
@@ -181,10 +180,7 @@ def degrade(v: Volume, p: DegradeParams) -> Volume:
     """
     data = v.data.astype(np.float64)
     sigma_vox = p.psf_sigma / v.grid.voxel_size
-    blurred = ndimage.gaussian_filter(data, sigma=sigma_vox, mode="reflect") \
-        if sigma_vox > 0 else data.copy()
-    if math.isinf(p.snr):
-        return Volume(grid=v.grid, data=blurred.astype(np.float32))
+    blurred = ndimage.gaussian_filter(data, sigma=sigma_vox, mode="reflect")
     matrix_region = v.data == np.float32(p.matrix_value)
     reference = float(blurred[matrix_region].mean()) if matrix_region.any() \
         else float(blurred.mean())

@@ -184,8 +184,6 @@ def hessian_at_scale(v: Volume, sigma: float) -> EigenField:
     eigensolve runs over slabs, and the result does not depend on the slab
     size.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
     g, d1, d2 = (gaussian_kernel(sigma, order) for order in range(3))
     s2 = sigma * sigma
     h = {}
@@ -286,19 +284,24 @@ def otsu_threshold(v: Volume) -> float:
     return float(edges[split + 1])
 
 
-def binarize(v: Volume, method: str = "otsu", threshold: float | None = None) -> LabelVolume:
-    """Binary mask: value >= threshold, with the threshold either fixed or
-    chosen by the Otsu histogram criterion."""
+def check_binarize(method: str, threshold: float | None) -> None:
+    """Raise unless ``method`` is "fixed" with a finite ``threshold`` or
+    "otsu" with none."""
     if method == "fixed":
         if threshold is None or not math.isfinite(threshold):
             raise ValueError("fixed binarization needs a finite threshold")
-        t = float(threshold)
     elif method == "otsu":
         if threshold is not None:
             raise ValueError(f"threshold = {threshold} is ignored by otsu; leave it null")
-        t = otsu_threshold(v)
     else:
         raise ValueError(f"unknown binarization method '{method}'")
+
+
+def binarize(v: Volume, method: str = "otsu", threshold: float | None = None) -> LabelVolume:
+    """Binary mask: value >= threshold, with the threshold either fixed or
+    chosen by the Otsu histogram criterion."""
+    check_binarize(method, threshold)
+    t = float(threshold) if method == "fixed" else otsu_threshold(v)
     return LabelVolume(grid=v.grid, data=(v.data >= t).astype(np.uint32))
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -289,3 +290,38 @@ def test_stats_json_is_the_stats_document(workdir):
     document = json.loads(json.dumps(stats_document(model, audit=True)))
     assert json.loads((root / "stats.json").read_text()) == document
     assert "audit" not in stats_document(model)
+
+
+def test_segment_summary_names_its_scales(workdir):
+    _, _, lines = workdir
+    # TINY keeps the desk radius and voxel size, so the derived scales are the desk ones
+    assert lines["segment"]["scales"] == [1.0, 1.5, 2.0]
+
+
+def test_stats_labels_one_voxel_component(tmp_path):
+    grid = GridSpec(dims=(6, 6, 6), voxel_size=2.5)
+    data = np.zeros(grid.dims, dtype=np.uint32)
+    data[3, 3, 3] = 1
+    write_volume(LabelVolume(grid=grid, data=data), tmp_path / "dot")
+    code, out, err = run_cli("stats", "--labels", str(tmp_path / "dot"))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["fiber_count"] == 1
+    assert payload["min_length_um"] == payload["max_length_um"] == 2.5
+    # the axis is exactly +z: theta in the last bin, phi (no negative zeros) in the first
+    assert payload["theta_hist"]["counts"][-1] == 1
+    assert payload["phi_hist"]["counts"][0] == 1
+
+
+def test_import_loads_the_package_and_its_eight_modules():
+    import fibervox
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, fibervox; "
+            "print(sorted(m for m in sys.modules if m.startswith('fibervox'))); "
+            "print(fibervox.__version__)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    modules, version = proc.stdout.splitlines()
+    assert modules == str(["fibervox"] + [f"fibervox.{m}" for m in (
+        "annotate", "config", "ctsim", "fibers", "mesh", "metrics", "vesselness", "volume")])
+    assert version == fibervox.__version__ == "0.1.0"

@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from fibervox.config import PipelineConfig, default_config
+from fibervox.vesselness import ScaleSet, default_scales
 
 
 def test_defaults_are_selfconsistent():
@@ -148,3 +150,23 @@ def test_float_list_entries_accept_numbers_only():
         PipelineConfig.from_dict({"segment": {"scales": [False]}})
     assert PipelineConfig.from_dict({"grid": {"dims": [24, 32, 16]}}).grid_spec().dims == \
         (24, 32, 16)
+
+
+def test_null_scales_derive_from_radius_and_voxel_size():
+    table1 = Path(__file__).resolve().parents[1] / "configs" / "table1.json"
+    assert PipelineConfig.load(table1).scale_set() == default_scales(6.5, 8.3)
+    assert default_config()["segment"]["scales"] is None
+    explicit = PipelineConfig.from_dict({"segment": {"scales": [1, 3]}})
+    assert explicit.scale_set() == ScaleSet(sigmas=(1.0, 3.0))
+    explicit.apply_overrides(["segment.scales=null"])
+    assert explicit.scale_set() == default_scales(6.5, 3.9)
+
+
+@pytest.mark.parametrize("segment, msg", [
+    ({"scales": [1.0, None]}, "'segment.scales\\[1\\]' must not be null"),
+    ({"c": [0.3]}, "'segment.c' must be a number or null"),
+    ({"threshold": [0.5]}, "'segment.threshold' must be a number or null"),
+])
+def test_only_scales_is_a_nullable_list(segment, msg):
+    with pytest.raises(ValueError, match=msg):
+        PipelineConfig.from_dict({"segment": segment})

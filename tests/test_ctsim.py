@@ -15,7 +15,7 @@ from fibervox.ctsim import (
     simulate_fbp,
     write_sinogram,
 )
-from fibervox.fibers import Fiber, FiberModel, ModelParams, generate_model
+from fibervox.fibers import GLASS_DENSITY, Fiber, FiberModel, ModelParams, generate_model
 from fibervox.volume import GridSpec, Volume
 
 
@@ -94,6 +94,16 @@ def test_rasterize_attenuation_validation():
         rasterize_attenuation(m, grid, supersample=0)
     with pytest.raises(ValueError, match="fiber level"):
         rasterize_attenuation(m, grid, levels=(1.0, 2.0))
+
+
+def test_rasterize_attenuation_capsule_covering_the_grid_has_no_shell():
+    # every voxel center lies deeper than half a voxel diagonal inside the capsule
+    grid = GridSpec((5, 5, 5), 1.0)
+    m = model_with([fiber(1, (2.5, 2.5, 0.0), (2.5, 2.5, 5.0), 10.0)], box_edge=5.0)
+    v = rasterize_attenuation(m, grid)
+    assert (v.data == np.float32(GLASS_DENSITY)).all()
+    v = rasterize_attenuation(m, grid, supersample=2, levels=(3.0, 1.0))
+    assert (v.data == np.float32(3.0)).all()
 
 
 def test_supersample_one_matches_label_mask():

@@ -231,3 +231,30 @@ def test_segment_cli_rejects_c_with_c_auto(tmp_path):
     assert err.startswith("error stage=segment:")
     assert "c_auto" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gray.json", "gray.raw"]
+
+
+def _filter_must_not_run(*args):
+    raise AssertionError("the filter ran")
+
+
+def test_segment_rejects_threshold_with_otsu_before_filtering(tmp_path, monkeypatch):
+    monkeypatch.setattr("fibervox.cli.frangi_multiscale", _filter_must_not_run)
+    grid = GridSpec(dims=(6, 6, 6), voxel_size=1.0)
+    write_volume(Volume(grid=grid, data=np.ones(grid.dims)), tmp_path / "gray")
+    code, out, err = run_cli("segment", "--set", "segment.threshold=0.5",
+                             "--input", str(tmp_path / "gray"), "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error stage=segment: threshold = 0.5 is ignored by otsu")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gray.json", "gray.raw"]
+
+
+def test_segment_orientation_into_missing_dir_fails_before_filtering(tmp_path, monkeypatch):
+    monkeypatch.setattr("fibervox.cli.frangi_multiscale", _filter_must_not_run)
+    grid = GridSpec(dims=(6, 6, 6), voxel_size=1.0)
+    write_volume(Volume(grid=grid, data=np.ones(grid.dims)), tmp_path / "gray")
+    stem = tmp_path / "no_such_dir" / "orient"
+    code, out, err = run_cli("segment", "--input", str(tmp_path / "gray"),
+                             "--out-dir", str(tmp_path / "seg"), "--orientation", str(stem))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error stage=segment: failed to write '{stem}'")
+    assert list((tmp_path / "seg").iterdir()) == []
