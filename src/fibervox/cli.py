@@ -28,8 +28,8 @@ from .fibers import (FiberModel, generate_model, histogram_fields, length_histog
                      stats_document, write_fibers_csv)
 from .mesh import write_stl
 from .metrics import evaluate
-from .vesselness import (binarize, check_binarize, connected_components, frangi_multiscale,
-                         structure_tensor_orientation, write_orientation_field)
+from .vesselness import (binarize, check_binarize, check_orientation, connected_components,
+                         frangi_multiscale, structure_tensor_orientation, write_orientation_field)
 from .volume import FORMAT_VERSION, LabelVolume, Volume, read_volume, write_files, write_volume
 
 
@@ -147,6 +147,8 @@ def _cmd_segment(args, cfg: PipelineConfig, out: _Outputs) -> None:
     # Every setting and output directory is checked before the filter runs.
     scales, params = cfg.scale_set(), cfg.vesselness_params()
     check_binarize(seg["binarize"], seg["threshold"])
+    if args.orientation:
+        check_orientation(seg["orientation_sigma_g"], seg["orientation_rho"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.orientation and not Path(args.orientation).parent.is_dir():

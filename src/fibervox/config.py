@@ -56,7 +56,6 @@ def default_config() -> dict:
             "alpha": 0.5,
             "beta": 0.5,
             "c": None,
-            "c_auto": True,
             "binarize": "otsu",
             "threshold": None,
             "polarity": "bright",
@@ -184,11 +183,8 @@ class PipelineConfig:
 
     def degrade_params(self) -> DegradeParams:
         d = self.raw["degrade"]
-        r = self.raw["raster"]
-        return DegradeParams(psf_sigma=d["psf_sigma_um"], snr=d["snr"],
-                             noise_seed=d["noise_seed"],
-                             fiber_value=r["fiber_value"],
-                             matrix_value=r["matrix_value"])
+        return DegradeParams(psf_sigma=d["psf_sigma_um"], snr=d["snr"], noise_seed=d["noise_seed"],
+                             matrix_value=self.raw["raster"]["matrix_value"])
 
     def scale_set(self) -> ScaleSet:
         scales = self.raw["segment"]["scales"]
@@ -198,5 +194,4 @@ class PipelineConfig:
 
     def vesselness_params(self) -> VesselnessParams:
         s = self.raw["segment"]
-        return VesselnessParams(alpha=s["alpha"], beta=s["beta"], c=s["c"],
-                                c_auto=s["c_auto"])
+        return VesselnessParams(alpha=s["alpha"], beta=s["beta"], c=s["c"])

@@ -33,14 +33,13 @@ class DegradeParams:
 
     ``psf_sigma`` is in micrometers and converted to voxels inside degrade().
     ``snr`` is mean(matrix signal)/noise-stddev; infinity disables noise.
-    The attenuation levels reuse the fiber/matrix densities by default; only
-    the contrast matters downstream.
+    ``matrix_value`` is the attenuation level of the matrix voxels whose
+    blurred mean sets that signal; it defaults to the matrix density.
     """
 
     psf_sigma: float = 4.0
     snr: float = 20.0
     noise_seed: int = 0
-    fiber_value: float = GLASS_DENSITY
     matrix_value: float = EPOXY_DENSITY
 
     def __post_init__(self):
@@ -48,8 +47,8 @@ class DegradeParams:
             raise ValueError(f"psf_sigma must be >= 0, got {self.psf_sigma}")
         if not self.snr > 0:
             raise ValueError(f"snr must be > 0 (or infinite), got {self.snr}")
-        if not self.fiber_value > self.matrix_value:
-            raise ValueError("fiber_value must exceed matrix_value")
+        if self.noise_seed < 0:
+            raise ValueError(f"noise_seed must be >= 0, got {self.noise_seed}")
 
 
 def _check_grid_covers(grid: GridSpec, box_edge: float) -> None:

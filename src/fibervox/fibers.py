@@ -95,6 +95,8 @@ class ModelParams:
             raise ValueError(f"target_fraction must be in (0, 1), got {self.target_fraction}")
         if self.max_attempts < 0:
             raise ValueError(f"max_attempts must be >= 0, got {self.max_attempts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

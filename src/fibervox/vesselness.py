@@ -36,25 +36,22 @@ _SLAB_VOXELS = 128 * 128 * 8
 class VesselnessParams:
     """Response weights: alpha (plate/line), beta (blobness), c (energy).
 
-    With ``c_auto`` the energy weight is derived per scale as half the maximum
-    second-order energy S over the volume, which makes the response invariant
-    to scaling the input intensities.
+    A null ``c`` is derived per scale as half the maximum second-order energy
+    S over the volume, which makes the response invariant to scaling the input
+    intensities.
     """
 
     alpha: float = 0.5
     beta: float = 0.5
     c: float | None = None
-    c_auto: bool = True
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if not self.beta > 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-        if not self.c_auto and not (self.c is not None and self.c > 0):
-            raise ValueError("c must be a positive real when c_auto is off")
-        if self.c_auto and self.c is not None:
-            raise ValueError(f"c = {self.c} is ignored while c_auto is on; leave c null")
+        if self.c is not None and not 0 < self.c < math.inf:
+            raise ValueError(f"c must be null or a finite number > 0, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -221,12 +218,12 @@ def frangi_response(e: EigenField, p: VesselnessParams) -> Volume:
     """Single-scale tubularity response in [0, 1].
 
     Zero wherever l2 > 0 or l3 > 0 (dark-on-bright) and wherever l3 = 0
-    (ratios undefined). With ``c_auto`` the energy weight is half the maximum
-    S over this field.
+    (ratios undefined). A null ``p.c`` becomes half the maximum S over this
+    field.
     """
     slabs = _slabs(e.grid.dims)
     out = np.zeros(e.grid.dims, dtype=np.float32)
-    if p.c_auto:
+    if p.c is None:
         c = 0.5 * math.sqrt(max(float(_energy(e, sl).max()) for sl in slabs))
     else:
         c = float(p.c)
@@ -326,6 +323,14 @@ class OrientationField:
     valid: np.ndarray  # (nx, ny, nz) bool
 
 
+def check_orientation(sigma_g: float, rho: float) -> None:
+    """Raise unless the structure-tensor scales are ``sigma_g`` > 0, ``rho`` >= 0."""
+    if not sigma_g > 0:
+        raise ValueError(f"sigma_g must be > 0, got {sigma_g}")
+    if not rho >= 0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
+
+
 def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> OrientationField:
     """Local fiber direction from the structure tensor.
 
@@ -336,10 +341,7 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
     below 1e-12 of the volume maximum are flagged invalid. The eigensolve runs
     over slabs, and the result does not depend on the slab size.
     """
-    if sigma_g <= 0:
-        raise ValueError(f"sigma_g must be > 0, got {sigma_g}")
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    check_orientation(sigma_g, rho)
     g = gaussian_kernel(sigma_g, 0)
     d1 = gaussian_kernel(sigma_g, 1)
     gx = _separable(v.data, (d1, g, g))

@@ -179,7 +179,7 @@ def test_05_vesselness_analytic_suite(record):
     grid = GridSpec(dims=(31, 31, 31), voxel_size=1.0)
     vol = lambda d: Volume(grid=grid, data=d.astype(np.float32))
     scales = ScaleSet(sigmas=(3.0,))
-    fixed = VesselnessParams(alpha=0.5, beta=0.5, c=0.25, c_auto=False)
+    fixed = VesselnessParams(alpha=0.5, beta=0.5, c=0.25)
     defaults = VesselnessParams()
     mid = (15, 15, 15)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ def test_defaults_are_selfconsistent():
     assert dp.psf_sigma == 4.0 and dp.snr == 20.0
     assert cfg.scale_set().sigmas == (1.0, 1.5, 2.0)
     vp = cfg.vesselness_params()
-    assert vp.alpha == 0.5 and vp.beta == 0.5 and vp.c_auto
+    assert vp.alpha == 0.5 and vp.beta == 0.5 and vp.c is None
 
 
 def test_partial_config_merges_over_defaults(tmp_path):
@@ -123,7 +124,7 @@ def test_scales_coerced_to_float():
 def test_degrade_params_pull_levels_from_raster():
     cfg = PipelineConfig.from_dict({"raster": {"fiber_value": 3.0, "matrix_value": 1.0}})
     dp = cfg.degrade_params()
-    assert dp.fiber_value == 3.0 and dp.matrix_value == 1.0
+    assert dp.matrix_value == 1.0
     assert math.isfinite(dp.snr)
 
 
@@ -170,3 +171,16 @@ def test_null_scales_derive_from_radius_and_voxel_size():
 def test_only_scales_is_a_nullable_list(segment, msg):
     with pytest.raises(ValueError, match=msg):
         PipelineConfig.from_dict({"segment": segment})
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config reference", 1)[1].split("\n## ", 1)[0]
+    documented = []
+    for row in section.splitlines():
+        cells = row.split("|")
+        if row.startswith("| `") and len(cells) == 4:
+            name = re.fullmatch(r" `(\w+)` ", cells[1]).group(1)
+            documented += [f"{name}.{key}" for key in re.findall(r"`(\w+)`", cells[2])]
+    assert documented == [f"{name}.{key}" for name, keys in default_config().items()
+                          for key in keys]

@@ -199,8 +199,6 @@ def test_degrade_params_validation():
         DegradeParams(psf_sigma=-1.0)
     with pytest.raises(ValueError):
         DegradeParams(snr=0.0)
-    with pytest.raises(ValueError):
-        DegradeParams(fiber_value=1.0, matrix_value=2.0)
 
 
 # ------------------------------------------------------------ radon / fbp

@@ -82,7 +82,7 @@ def test_fbp_slice_matches_masked_reference(n_angles, n_det, shape, falls_off):
 def frangi_reference(e, p):
     l1, l2, l3 = e.l1, e.l2, e.l3
     s2 = l1 * l1 + l2 * l2 + l3 * l3
-    c = 0.5 * math.sqrt(float(s2.max())) if p.c_auto else float(p.c)
+    c = 0.5 * math.sqrt(float(s2.max())) if p.c is None else float(p.c)
     bright_tube = (l2 <= 0) & (l3 < 0)
     if c == 0:
         return np.zeros(e.grid.dims, dtype=np.float32)
@@ -114,8 +114,8 @@ def eigen_field(rng, kind, dims=(6, 5, 4)):
 
 @pytest.mark.parametrize("kind", ["integers", "bright", "dark", "mixed"])
 @pytest.mark.parametrize("params", [VesselnessParams(),
-                                    VesselnessParams(alpha=0.3, beta=1.7, c=0.7, c_auto=False),
-                                    VesselnessParams(c=1e-3, c_auto=False)])
+                                    VesselnessParams(alpha=0.3, beta=1.7, c=0.7),
+                                    VesselnessParams(c=1e-3)])
 def test_frangi_response_matches_reference(kind, params):
     rng = np.random.default_rng(sum(map(ord, kind)))
     for _ in range(5):
@@ -126,7 +126,7 @@ def test_frangi_response_matches_reference(kind, params):
 def test_frangi_response_zero_field_matches_reference():
     zeros = np.zeros((3, 3, 3))
     e = EigenField(GridSpec((3, 3, 3), 1.0), zeros, zeros, zeros)
-    for params in (VesselnessParams(), VesselnessParams(c=1.0, c_auto=False)):
+    for params in (VesselnessParams(), VesselnessParams(c=1.0)):
         assert_bits_equal(frangi_response(e, params).data, frangi_reference(e, params))
 
 
@@ -202,7 +202,7 @@ def test_hessian_matches_18_pass_reference(dims, monkeypatch):
 
 @pytest.mark.parametrize("dims", SLAB_GRIDS, ids=["multiple", "remainder", "short", "one"])
 @pytest.mark.parametrize("params", [VesselnessParams(),
-                                    VesselnessParams(alpha=0.3, beta=1.7, c=0.7, c_auto=False)],
+                                    VesselnessParams(alpha=0.3, beta=1.7, c=0.7)],
                          ids=["c_auto", "fixed_c"])
 def test_frangi_multiscale_matches_reference(dims, params, monkeypatch):
     monkeypatch.setattr(vesselness, "_SLAB_VOXELS", SLAB_VOXELS)

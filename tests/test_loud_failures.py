@@ -2,15 +2,18 @@
 exact."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from fibervox.annotate import PolylineAnnotation, read_annotations
-from fibervox.fibers import read_fibers_csv
+from fibervox.ctsim import DegradeParams
+from fibervox.fibers import ModelParams, read_fibers_csv
 from fibervox.metrics import _pair_count_sum
-from fibervox.vesselness import (VesselnessParams, binarize, read_orientation_field,
-                                 structure_tensor_orientation, write_orientation_field)
+from fibervox.vesselness import (ScaleSet, VesselnessParams, binarize, frangi_multiscale,
+                                 read_orientation_field, structure_tensor_orientation,
+                                 write_orientation_field)
 from fibervox.volume import GridSpec, LabelVolume, Volume, read_volume, write_volume
 from test_cli import TINY, run_cli
 
@@ -209,10 +212,12 @@ def test_degrade_cli_names_sidecar_with_bad_fields(tmp_path, fields):
     assert not (tmp_path / "out.raw").exists()
 
 
-def test_c_with_c_auto_is_rejected():
-    with pytest.raises(ValueError, match="c = 0.3 is ignored while c_auto is on"):
-        VesselnessParams(c=0.3)
-    assert VesselnessParams(c=0.3, c_auto=False).c == 0.3
+def test_c_is_null_or_a_finite_positive_number():
+    assert VesselnessParams(c=0.3).c == 0.3
+    assert VesselnessParams().c is None
+    for c in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"c must be null or a finite number > 0, got {c}"):
+            VesselnessParams(c=c)
 
 
 def test_threshold_with_otsu_is_rejected():
@@ -222,19 +227,126 @@ def test_threshold_with_otsu_is_rejected():
     assert binarize(v, method="fixed", threshold=0.5).data.sum() == 63
 
 
-def test_segment_cli_rejects_c_with_c_auto(tmp_path):
+def _filter_must_not_run(*args):
+    raise AssertionError("the filter ran")
+
+
+def test_segment_cli_rejects_c_auto_key(tmp_path, monkeypatch):
+    monkeypatch.setattr("fibervox.cli.frangi_multiscale", _filter_must_not_run)
     grid = GridSpec(dims=(6, 6, 6), voxel_size=1.0)
     write_volume(Volume(grid=grid, data=np.ones(grid.dims)), tmp_path / "gray")
-    code, out, err = run_cli("segment", "--set", "segment.c=0.3",
+    code, out, err = run_cli("segment", "--set", "segment.c_auto=true",
                              "--input", str(tmp_path / "gray"), "--out-dir", str(tmp_path))
     assert code == 1 and out == ""
-    assert err.startswith("error stage=segment:")
-    assert "c_auto" in err
+    assert err.strip() == "error stage=segment: unknown config key(s): segment.c_auto"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gray.json", "gray.raw"]
 
 
-def _filter_must_not_run(*args):
-    raise AssertionError("the filter ran")
+def _tube_gray(tmp_path, name="gray", sign=1.0):
+    """A noisy bright tube along z on a 12 x 12 x 10 grid, written as ``name``."""
+    i = np.arange(12.0) - 5.5
+    cross = np.exp(-(i[:, None] ** 2 + i[None, :] ** 2) / 4.5)
+    data = np.broadcast_to(cross[:, :, None], (12, 12, 10))
+    data = data + np.random.default_rng(0).normal(0.0, 0.05, data.shape)
+    vol = Volume(grid=GridSpec((12, 12, 10), 1.0), data=(sign * data).astype(np.float32))
+    write_volume(vol, tmp_path / name)
+    return vol
+
+
+def test_segment_cli_takes_a_set_c(tmp_path):
+    gray = _tube_gray(tmp_path)
+    code, out, err = run_cli("segment", "--set", "segment.c=0.3",
+                             "--input", str(tmp_path / "gray"), "--out-dir", str(tmp_path))
+    assert code == 0, err
+    want = frangi_multiscale(gray, ScaleSet((1.0, 1.5, 2.0)), VesselnessParams(c=0.3))
+    assert read_volume(tmp_path / "vess").data.tobytes() == want.data.tobytes()
+    derived = frangi_multiscale(gray, ScaleSet((1.0, 1.5, 2.0)), VesselnessParams())
+    assert want.data.tobytes() != derived.data.tobytes()
+
+
+def test_segment_dark_polarity_matches_bright_on_the_negated_volume(tmp_path):
+    _tube_gray(tmp_path, "bright")
+    _tube_gray(tmp_path, "dark", sign=-1.0)
+    for polarity in ("bright", "dark"):
+        code, _, err = run_cli("segment", "--set", f'segment.polarity="{polarity}"',
+                               "--input", str(tmp_path / polarity),
+                               "--out-dir", str(tmp_path / f"seg_{polarity}"))
+        assert code == 0, err
+    for name in ("vess.json", "vess.raw", "mask.json", "mask.raw", "pred.json", "pred.raw"):
+        dark = (tmp_path / "seg_dark" / name).read_bytes()
+        assert dark == (tmp_path / "seg_bright" / name).read_bytes(), name
+    assert read_volume(tmp_path / "seg_dark" / "pred").data.max() >= 1
+
+
+def test_segment_rejects_unknown_polarity_before_filtering(tmp_path, monkeypatch):
+    monkeypatch.setattr("fibervox.cli.frangi_multiscale", _filter_must_not_run)
+    _tube_gray(tmp_path)
+    code, out, err = run_cli("segment", "--set", 'segment.polarity="grey"',
+                             "--input", str(tmp_path / "gray"), "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.strip() == ("error stage=segment: segment.polarity must be 'bright' or 'dark', "
+                           "got 'grey'")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gray.json", "gray.raw"]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("rho", "-1", "rho must be >= 0, got -1.0"),
+    ("sigma_g", "0", "sigma_g must be > 0, got 0.0"),
+    ("sigma_g", "NaN", "sigma_g must be > 0, got nan"),
+], ids=["rho-negative", "sigma_g-zero", "sigma_g-nan"])
+def test_segment_checks_orientation_settings_before_filtering(tmp_path, monkeypatch, key,
+                                                              value, message):
+    monkeypatch.setattr("fibervox.cli.frangi_multiscale", _filter_must_not_run)
+    gray = _tube_gray(tmp_path)
+    code, out, err = run_cli("segment", "--set", f"segment.orientation_{key}={value}",
+                             "--input", str(tmp_path / "gray"), "--out-dir", str(tmp_path / "seg"),
+                             "--orientation", str(tmp_path / "orient"))
+    assert code == 1 and out == ""
+    assert err.strip() == f"error stage=segment: {message}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gray.json", "gray.raw"]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        structure_tensor_orientation(gray, **{"sigma_g": 1.0, "rho": 1.0, key: float(value)})
+
+
+def test_negative_seeds_are_rejected():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        ModelParams(seed=-1)
+    with pytest.raises(ValueError, match="^noise_seed must be >= 0, got -1$"):
+        DegradeParams(noise_seed=-1)
+
+
+def test_degrade_cli_rejects_negative_noise_seed(tmp_path, monkeypatch):
+    monkeypatch.setattr("fibervox.cli.degrade", _filter_must_not_run)
+    write_volume(Volume(GridSpec((4, 4, 4), 1.0), np.ones((4, 4, 4))), tmp_path / "v")
+    code, out, err = run_cli("degrade", "--set", "degrade.noise_seed=-1",
+                             "--input", str(tmp_path / "v"), "--output", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.strip() == "error stage=degrade: noise_seed must be >= 0, got -1"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json", "v.raw"]
+
+
+def test_generate_cli_rejects_negative_seed(tmp_path):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    code, out, err = run_cli("generate", "--config", str(cfg), "--seed", "-1",
+                             "--out-dir", str(tmp_path / "gen"))
+    assert code == 1 and out == ""
+    assert err.strip() == "error stage=generate: seed must be >= 0, got -1"
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("fiber_value", ["1.0", "1.31"], ids=["below", "equal"])
+def test_rasterize_cli_rejects_fiber_level_not_above_matrix(tmp_path, fiber_value):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    path = tmp_path / "fibers.csv"
+    path.write_text(CSV_HEADER + "3,20,20,20,40,20,20,6.5\n")
+    code, out, err = run_cli("rasterize", "--config", str(cfg), "--fibers", str(path),
+                             "--set", f"raster.fiber_value={fiber_value}",
+                             "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.strip() == "error stage=rasterize: fiber level must exceed matrix level"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fibers.csv", "tiny.json"]
 
 
 def test_segment_rejects_threshold_with_otsu_before_filtering(tmp_path, monkeypatch):

@@ -137,7 +137,7 @@ def flat_field(l1, l2, l3, shape=(3, 3, 3)):
 
 
 def test_frangi_closed_form_oracle():
-    p = VesselnessParams(alpha=0.5, beta=0.5, c=2.0, c_auto=False)
+    p = VesselnessParams(alpha=0.5, beta=0.5, c=2.0)
     r = frangi_response(flat_field(0.0, -4.0, -4.0), p)
     expected = (1 - math.exp(-2.0)) * 1.0 * (1 - math.exp(-4.0))
     assert expected == pytest.approx(0.848827, abs=1e-6)
@@ -145,7 +145,7 @@ def test_frangi_closed_form_oracle():
 
 
 def test_frangi_sign_branches():
-    p = VesselnessParams(alpha=0.5, beta=0.5, c=2.0, c_auto=False)
+    p = VesselnessParams(alpha=0.5, beta=0.5, c=2.0)
     assert frangi_response(flat_field(0.0, 4.0, 4.0), p).data.max() == 0.0   # dark tube
     assert frangi_response(flat_field(0.0, -4.0, 4.0), p).data.max() == 0.0  # l3 > 0
     assert frangi_response(flat_field(0.0, -4.0, 0.0), p).data.max() == 0.0  # l3 == 0
@@ -154,7 +154,7 @@ def test_frangi_sign_branches():
 
 def test_frangi_zero_volume():
     r = frangi_response(flat_field(0.0, 0.0, 0.0), VesselnessParams())
-    assert r.data.max() == 0.0  # c_auto degenerates to c = 0 -> all zero
+    assert r.data.max() == 0.0  # a derived c degenerates to c = 0 -> all zero
 
 
 def tube_volume(n=40, w=3.0, axis=2):
@@ -182,7 +182,7 @@ def blob_volume(n=40, w=3.0):
 
 
 def center_response(v, sigma=3.0):
-    p = VesselnessParams(alpha=0.5, beta=0.5, c=0.25, c_auto=False)
+    p = VesselnessParams(alpha=0.5, beta=0.5, c=0.25)
     r = frangi_response(hessian_at_scale(v, sigma), p)
     n = v.grid.dims[0]
     return float(r.data[n // 2, n // 2, n // 2])
@@ -212,7 +212,7 @@ def test_frangi_range_and_single_multi_consistency():
 
 def test_frangi_offset_and_gain_invariance():
     v = tube_volume(n=32, w=2.0)
-    p = VesselnessParams()  # c_auto
+    p = VesselnessParams()  # derived c
     base = frangi_multiscale(v, ScaleSet((1.5, 2.5)), p).data
     shifted = vol(v.data + 100.0)
     gained = vol(v.data * 1000.0)
@@ -228,7 +228,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         VesselnessParams(beta=-1.0)
     with pytest.raises(ValueError):
-        VesselnessParams(c=None, c_auto=False)
+        VesselnessParams(c=0.0)
     with pytest.raises(ValueError):
         ScaleSet(())
     with pytest.raises(ValueError):
