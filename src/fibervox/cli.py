@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .annotate import annotations_from_fibers, read_annotations, region_grow, render_polylines
 from .config import PipelineConfig
-from .ctsim import (degrade, rasterize_attenuation, rasterize_labels, simulate_fbp,
-                    write_sinogram)
+from .ctsim import (check_attenuation, degrade, rasterize_attenuation, rasterize_labels,
+                    simulate_fbp, write_sinogram)
 from .fibers import (FiberModel, generate_model, histogram_fields, length_histogram,
                      model_statistics, orientation_histograms, read_fibers_csv,
                      stats_document, write_fibers_csv)
@@ -85,13 +85,14 @@ def _cmd_generate(args, cfg: PipelineConfig, out: _Outputs) -> None:
 
 
 def _cmd_rasterize(args, cfg: PipelineConfig, out: _Outputs) -> None:
+    raster = cfg.raw["raster"]
+    levels = (raster["fiber_value"], raster["matrix_value"])
+    check_attenuation(raster["supersample"], levels)
     fibers = read_fibers_csv(args.fibers)
     model = FiberModel(params=cfg.model_params(), fibers=fibers)
     grid = cfg.grid_spec()
-    raster = cfg.raw["raster"]
     labels, conflicts = rasterize_labels(model, grid)
-    atten = rasterize_attenuation(model, grid, supersample=raster["supersample"],
-                                  levels=(raster["fiber_value"], raster["matrix_value"]))
+    atten = rasterize_attenuation(model, grid, supersample=raster["supersample"], levels=levels)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out.track(*write_volume(labels, out_dir / "gt"))

@@ -9,6 +9,7 @@ from the command line with JSON-encoded values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,7 +83,7 @@ def _check_value(path: str, value, default) -> object:
             return _check_value(path, value, [0.0])
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"config key '{path}' must be a number or null")
-        return float(value)
+        return _check_value(path, value, 0.0)
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ValueError(f"config key '{path}' must be a boolean")
@@ -94,6 +95,9 @@ def _check_value(path: str, value, default) -> object:
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"config key '{path}' must be a number")
+        # json.loads reads NaN and +-Infinity; an infinite SNR means no noise.
+        if not math.isfinite(value) and not (path == "degrade.snr" and value == math.inf):
+            raise ValueError(f"config key '{path}' must be finite")
         return float(value)
     if isinstance(default, str):
         if not isinstance(value, str):

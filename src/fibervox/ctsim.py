@@ -43,7 +43,7 @@ class DegradeParams:
     matrix_value: float = EPOXY_DENSITY
 
     def __post_init__(self):
-        if self.psf_sigma < 0:
+        if not self.psf_sigma >= 0:
             raise ValueError(f"psf_sigma must be >= 0, got {self.psf_sigma}")
         if not self.snr > 0:
             raise ValueError(f"snr must be > 0 (or infinite), got {self.snr}")
@@ -122,6 +122,15 @@ def rasterize_labels(m: FiberModel, grid: GridSpec) -> tuple[LabelVolume, int]:
     return labels, conflicts
 
 
+def check_attenuation(supersample: int, levels: tuple[float, float]) -> None:
+    """Raise unless ``supersample`` >= 1 and the fiber level (first) exceeds
+    the matrix level."""
+    if supersample < 1:
+        raise ValueError(f"supersample must be >= 1, got {supersample}")
+    if not levels[0] > levels[1]:
+        raise ValueError("fiber level must exceed matrix level")
+
+
 def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
                           levels: tuple[float, float] = (GLASS_DENSITY, EPOXY_DENSITY)) -> Volume:
     """Anti-aliased attenuation volume.
@@ -133,11 +142,8 @@ def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
     half a voxel diagonal of the radius are sub-sampled; others are decided
     wholesale, which is exact for this sub-lattice.
     """
-    if supersample < 1:
-        raise ValueError(f"supersample must be >= 1, got {supersample}")
+    check_attenuation(supersample, levels)
     fiber_value, matrix_value = levels
-    if not fiber_value > matrix_value:
-        raise ValueError("fiber level must exceed matrix level")
     _check_grid_covers(grid, m.params.box_edge)
 
     h = grid.voxel_size
@@ -281,11 +287,9 @@ def radon_slice(slice2d: np.ndarray, n_angles: int) -> Sinogram:
     return Sinogram(angles=angles, data=_project(np.asarray(slice2d)[:, :, None], angles)[0])
 
 
-def _ramlak_filter(sino) -> np.ndarray:
-    """Ram-Lak filter along the last (detector) axis of a stack of
-    projection rows, or of a :class:`Sinogram`'s data."""
-    data = sino.data if isinstance(sino, Sinogram) else sino
-    n_det = data.shape[-1]
+def _ramlak_ramp(n_det: int) -> np.ndarray:
+    """Ram-Lak frequency response for rows of ``n_det`` detectors zero-padded
+    to the first power of two >= max(64, 2 n_det)."""
     size = 64
     while size < 2 * n_det:
         size *= 2
@@ -297,7 +301,17 @@ def _ramlak_filter(sino) -> np.ndarray:
     odd = np.arange(1, size // 2, 2)
     kernel[odd] = -1.0 / (np.pi * odd) ** 2
     kernel[-odd] = -1.0 / (np.pi * odd) ** 2
-    ramp = np.real(np.fft.rfft(kernel))
+    return np.real(np.fft.rfft(kernel))
+
+
+def _ramlak_filter(sino, ramp: np.ndarray | None = None) -> np.ndarray:
+    """Ram-Lak filter along the last (detector) axis of a stack of
+    projection rows, or of a :class:`Sinogram`'s data; ``ramp`` is
+    :func:`_ramlak_ramp` of the row length, built here when not given."""
+    data = sino.data if isinstance(sino, Sinogram) else sino
+    n_det = data.shape[-1]
+    ramp = _ramlak_ramp(n_det) if ramp is None else ramp
+    size = 2 * (len(ramp) - 1)
     spectrum = np.fft.rfft(data, n=size, axis=-1)
     spectrum *= ramp
     return np.fft.irfft(spectrum, n=size, axis=-1)[..., :n_det]
@@ -324,6 +338,7 @@ def _backproject(sino: np.ndarray, angles: np.ndarray, shape: tuple[int, int]) -
     weights = np.empty((nx * ny, 2))
     cols = np.empty((nx * ny, 2), dtype=np.int32)
     recon = np.zeros((nx * ny, nz))
+    ramp = _ramlak_ramp(n_det)
     for a, theta in enumerate(angles):
         s = (gx * math.cos(theta) + gy * math.sin(theta) + center).ravel()
         lo = np.floor(s)
@@ -334,7 +349,7 @@ def _backproject(sino: np.ndarray, angles: np.ndarray, shape: tuple[int, int]) -
         weights *= (cols >= 0) & (cols < n_det)
         np.clip(cols, 0, n_det - 1, out=cols)
         pixels = sparse.csr_array((weights.ravel(), cols.ravel(), row_ptr), shape=(nx * ny, n_det))
-        recon += pixels @ _ramlak_filter(sino[:, a]).T
+        recon += pixels @ _ramlak_filter(sino[:, a], ramp).T
     recon *= math.pi / n_angles
     return recon.reshape(nx, ny, nz)
 

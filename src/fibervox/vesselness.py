@@ -8,10 +8,11 @@ orientation estimator for the extracted fibers lives here too.
 
 Memory note: the per-voxel steps (eigensolves, magnitude sort, response) run
 over slabs of about 128 x 128 x 8 voxels, so a kernel holds its six
-full-volume float64 components and its outputs plus a few slab temporaries.
-Peak RSS of one standalone call (three Frangi scales; the structure tensor at
-sigma_g 1, rho 2): Frangi 199 MB at 128^3 and 0.98 GB at 241^3, the structure
-tensor 234 MB and 1.07 GB.
+full-volume float64 components and its outputs plus a few slab temporaries;
+the structure tensor's closed-form axis and its eigh fallback need no
+(..., 3, 3) stack beyond the fallback voxels. Peak RSS of one standalone call
+(three Frangi scales; the structure tensor at sigma_g 1, rho 2): Frangi
+199 MB at 128^3 and 0.98 GB at 241^3, the structure tensor 233 MB and 1.07 GB.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ class VesselnessParams:
     c: float | None = None
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        for name in ("alpha", "beta"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {getattr(self, name)}")
         if self.c is not None and not 0 < self.c < math.inf:
             raise ValueError(f"c must be null or a finite number > 0, got {self.c}")
 
@@ -66,6 +66,8 @@ class ScaleSet:
             raise ValueError("scale set must not be empty")
         if any(s <= 0 for s in sigmas):
             raise ValueError(f"scales must be positive, got {sigmas}")
+        if not all(map(math.isfinite, sigmas)):
+            raise ValueError(f"scales must be finite, got {sigmas}")
         if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
             raise ValueError(f"scales must be strictly ascending, got {sigmas}")
         object.__setattr__(self, "sigmas", sigmas)
@@ -153,6 +155,32 @@ def _eig3_symmetric(a11, a22, a33, a12, a13, a23):
     lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
     mid = 3.0 * q - hi - lo
     return lo, mid, hi
+
+
+def _smallest_eigenvector(a11, a22, a33, a12, a13, a23) -> np.ndarray:
+    """Unit eigenvectors (..., 3) of the smallest eigenvalue lo of symmetric
+    3x3 matrices given as to :func:`_eig3_symmetric`: the longest cross
+    product of two rows of A - lo I (Kopp 2008). Where it is not longer than
+    1e-8 trace^2 (A = 0, a double lo, NaN), the rows do not fix the vector and
+    ``np.linalg.eigh`` of just those matrices gives it."""
+    lo = _eig3_symmetric(a11, a22, a33, a12, a13, a23)[0]
+    r0, r1, r2 = (a11 - lo, a12, a13), (a12, a22 - lo, a23), (a13, a23, a33 - lo)
+    best, best_sq = (0.0, 0.0, 0.0), 0.0
+    for u, w in ((r0, r1), (r0, r2), (r1, r2)):
+        c = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+        sq = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
+        longer = sq > best_sq
+        best = tuple(np.where(longer, ci, bi) for ci, bi in zip(c, best))
+        best_sq = np.where(longer, sq, best_sq)
+    norm = np.sqrt(best_sq)
+    trace = a11 + a22 + a33
+    fixed = norm > 1e-8 * trace * trace
+    vectors = np.stack(best, axis=-1) / np.where(fixed, norm, 1.0)[..., None]
+    if not fixed.all():
+        tensor = np.stack([c[~fixed] for c in (a11, a12, a13, a12, a22, a23, a13, a23, a33)],
+                          axis=-1)
+        vectors[~fixed] = np.linalg.eigh(tensor.reshape(-1, 3, 3)).eigenvectors[..., 0]
+    return vectors
 
 
 def _sort_by_magnitude(lo, mid, hi):
@@ -324,11 +352,15 @@ class OrientationField:
 
 
 def check_orientation(sigma_g: float, rho: float) -> None:
-    """Raise unless the structure-tensor scales are ``sigma_g`` > 0, ``rho`` >= 0."""
+    """Raise unless the structure-tensor scales are finite with ``sigma_g`` > 0
+    and ``rho`` >= 0."""
     if not sigma_g > 0:
         raise ValueError(f"sigma_g must be > 0, got {sigma_g}")
     if not rho >= 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
+    for name, value in (("sigma_g", sigma_g), ("rho", rho)):
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> OrientationField:
@@ -337,9 +369,11 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
     Gradient from Gaussian first derivatives at ``sigma_g``; the gradient
     outer product is smoothed component-wise at ``rho``; the orientation is
     the eigenvector of the smallest tensor eigenvalue, canonicalized to
-    z >= 0 (then y >= 0, then x >= 0 on ties). Voxels whose tensor trace is
-    below 1e-12 of the volume maximum are flagged invalid. The eigensolve runs
-    over slabs, and the result does not depend on the slab size.
+    z >= 0 (then y >= 0, then x >= 0 on ties). It comes in closed form, and
+    from eigh where J = 0 or the smallest eigenvalue is double (everywhere at
+    ``rho`` = 0): see :func:`_smallest_eigenvector`. Voxels whose tensor trace
+    is below 1e-12 of the volume maximum are flagged invalid. The eigensolve
+    runs over slabs, and the result does not depend on the slab size.
     """
     check_orientation(sigma_g, rho)
     g = gaussian_kernel(sigma_g, 0)
@@ -369,11 +403,8 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
 
     axes = np.empty(v.grid.dims + (3,), dtype=np.float32)
     for sl in _slabs(v.grid.dims):
-        tensor = np.stack([c[sl] for c in (jxx, jxy, jxz, jxy, jyy, jyz, jxz, jyz, jzz)],
-                          axis=-1)
-        vectors = np.linalg.eigh(tensor.reshape(tensor.shape[:3] + (3, 3))).eigenvectors
-        del tensor
-        axes[sl] = hemisphere(vectors[..., :, 0])
+        axes[sl] = hemisphere(_smallest_eigenvector(*(c[sl] for c in (jxx, jyy, jzz, jxy, jxz,
+                                                                       jyz))))
     return OrientationField(grid=v.grid, axes=axes, valid=valid)
 
 

@@ -184,3 +184,30 @@ def test_readme_config_table_lists_every_key():
             documented += [f"{name}.{key}" for key in re.findall(r"`(\w+)`", cells[2])]
     assert documented == [f"{name}.{key}" for name, keys in default_config().items()
                           for key in keys]
+
+
+def _number_keys():
+    """Every float key and nullable number key, with a scales entry standing
+    for the list."""
+    keys = [f"{section}.{key}" for section, entries in default_config().items()
+            for key, value in entries.items()
+            if value is None or (isinstance(value, float) and not isinstance(value, bool))]
+    return [k for k in keys if k != "segment.scales"] + ["segment.scales[1]"]
+
+
+@pytest.mark.parametrize("key", _number_keys())
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_float_keys_must_be_finite(key, value):
+    if key == "degrade.snr" and value == math.inf:
+        # An infinite SNR means no noise.
+        assert PipelineConfig.from_dict({"degrade": {"snr": value}}).degrade_params().snr == value
+        return
+    section, leaf = key.split(".")
+    override = [1.0, value] if leaf == "scales[1]" else value
+    leaf = leaf.removesuffix("[1]")
+    with pytest.raises(ValueError, match=f"^config key '{re.escape(key)}' must be finite$"):
+        PipelineConfig.from_dict({section: {leaf: override}})
+    text = json.dumps(override)
+    with pytest.raises(ValueError, match=f"^config key '{re.escape(key)}' must be finite$"):
+        PipelineConfig().apply_overrides([f"{section}.{leaf}={text}"])
+

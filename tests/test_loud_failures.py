@@ -11,7 +11,8 @@ from fibervox.annotate import PolylineAnnotation, read_annotations
 from fibervox.ctsim import DegradeParams
 from fibervox.fibers import ModelParams, read_fibers_csv
 from fibervox.metrics import _pair_count_sum
-from fibervox.vesselness import (ScaleSet, VesselnessParams, binarize, frangi_multiscale,
+from fibervox.vesselness import (ScaleSet, VesselnessParams, binarize, check_orientation,
+                                 frangi_multiscale,
                                  read_orientation_field, structure_tensor_orientation,
                                  write_orientation_field)
 from fibervox.volume import GridSpec, LabelVolume, Volume, read_volume, write_volume
@@ -289,20 +290,22 @@ def test_segment_rejects_unknown_polarity_before_filtering(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gray.json", "gray.raw"]
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("rho", "-1", "rho must be >= 0, got -1.0"),
-    ("sigma_g", "0", "sigma_g must be > 0, got 0.0"),
-    ("sigma_g", "NaN", "sigma_g must be > 0, got nan"),
+@pytest.mark.parametrize("key, value, message, cli_message", [
+    ("rho", "-1", "rho must be >= 0, got -1.0", None),
+    ("sigma_g", "0", "sigma_g must be > 0, got 0.0", None),
+    # The config rejects a NaN before the library sees it.
+    ("sigma_g", "NaN", "sigma_g must be > 0, got nan",
+     "config key 'segment.orientation_sigma_g' must be finite"),
 ], ids=["rho-negative", "sigma_g-zero", "sigma_g-nan"])
 def test_segment_checks_orientation_settings_before_filtering(tmp_path, monkeypatch, key,
-                                                              value, message):
+                                                              value, message, cli_message):
     monkeypatch.setattr("fibervox.cli.frangi_multiscale", _filter_must_not_run)
     gray = _tube_gray(tmp_path)
     code, out, err = run_cli("segment", "--set", f"segment.orientation_{key}={value}",
                              "--input", str(tmp_path / "gray"), "--out-dir", str(tmp_path / "seg"),
                              "--orientation", str(tmp_path / "orient"))
     assert code == 1 and out == ""
-    assert err.strip() == f"error stage=segment: {message}"
+    assert err.strip() == f"error stage=segment: {cli_message or message}"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gray.json", "gray.raw"]
     with pytest.raises(ValueError, match=f"^{message}$"):
         structure_tensor_orientation(gray, **{"sigma_g": 1.0, "rho": 1.0, key: float(value)})
@@ -347,6 +350,61 @@ def test_rasterize_cli_rejects_fiber_level_not_above_matrix(tmp_path, fiber_valu
     assert code == 1 and out == ""
     assert err.strip() == "error stage=rasterize: fiber level must exceed matrix level"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fibers.csv", "tiny.json"]
+
+
+
+def test_rasterize_cli_checks_levels_before_labeling(tmp_path, monkeypatch):
+    monkeypatch.setattr("fibervox.cli.rasterize_labels", _filter_must_not_run)
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    path = tmp_path / "fibers.csv"
+    path.write_text(CSV_HEADER + "3,20,20,20,40,20,20,6.5\n")
+    code, out, err = run_cli("rasterize", "--config", str(cfg), "--fibers", str(path),
+                             "--set", "raster.fiber_value=1.0", "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.strip() == "error stage=rasterize: fiber level must exceed matrix level"
+
+
+def test_nan_psf_sigma_is_rejected(tmp_path, monkeypatch):
+    with pytest.raises(ValueError, match="^psf_sigma must be >= 0, got nan$"):
+        DegradeParams(psf_sigma=math.nan)
+    monkeypatch.setattr("fibervox.cli.degrade", _filter_must_not_run)
+    write_volume(Volume(GridSpec((4, 4, 4), 1.0), np.ones((4, 4, 4))), tmp_path / "v")
+    code, out, err = run_cli("degrade", "--set", "degrade.psf_sigma_um=NaN",
+                             "--input", str(tmp_path / "v"), "--output", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.strip() == "error stage=degrade: config key 'degrade.psf_sigma_um' must be finite"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json", "v.raw"]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: check_orientation(math.inf, 1.0), "sigma_g must be finite, got inf"),
+    (lambda: check_orientation(1.0, math.inf), "rho must be finite, got inf"),
+    (lambda: ScaleSet((1.0, math.inf)), r"scales must be finite, got \(1.0, inf\)"),
+    (lambda: ScaleSet((math.nan,)), r"scales must be finite, got \(nan,\)"),
+    (lambda: VesselnessParams(alpha=math.inf), "alpha must be a finite number > 0, got inf"),
+    (lambda: VesselnessParams(beta=math.nan), "beta must be a finite number > 0, got nan"),
+], ids=["sigma_g", "rho", "scales-inf", "scales-nan", "alpha", "beta"])
+def test_segment_settings_must_be_finite(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize("override, key", [
+    ("segment.orientation_rho=Infinity", "segment.orientation_rho"),
+    ("segment.scales=[1.0, Infinity]", "segment.scales[1]"),
+    ("segment.alpha=Infinity", "segment.alpha"),
+], ids=["rho", "scales", "alpha"])
+def test_segment_cli_rejects_infinite_settings_before_filtering(tmp_path, monkeypatch,
+                                                                override, key):
+    monkeypatch.setattr("fibervox.cli.frangi_multiscale", _filter_must_not_run)
+    _tube_gray(tmp_path)
+    code, out, err = run_cli("segment", "--set", override, "--input", str(tmp_path / "gray"),
+                             "--out-dir", str(tmp_path / "seg"),
+                             "--orientation", str(tmp_path / "orient"))
+    assert code == 1 and out == ""
+    assert err.strip() == f"error stage=segment: config key '{key}' must be finite"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gray.json", "gray.raw"]
 
 
 def test_segment_rejects_threshold_with_otsu_before_filtering(tmp_path, monkeypatch):
