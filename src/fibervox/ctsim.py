@@ -45,6 +45,8 @@ class DegradeParams:
     def __post_init__(self):
         if not self.psf_sigma >= 0:
             raise ValueError(f"psf_sigma must be >= 0, got {self.psf_sigma}")
+        if self.psf_sigma == math.inf:
+            raise ValueError(f"psf_sigma must be finite, got {self.psf_sigma}")
         if not self.snr > 0:
             raise ValueError(f"snr must be > 0 (or infinite), got {self.snr}")
         if self.noise_seed < 0:
@@ -304,17 +306,13 @@ def _ramlak_ramp(n_det: int) -> np.ndarray:
     return np.real(np.fft.rfft(kernel))
 
 
-def _ramlak_filter(sino, ramp: np.ndarray | None = None) -> np.ndarray:
-    """Ram-Lak filter along the last (detector) axis of a stack of
-    projection rows, or of a :class:`Sinogram`'s data; ``ramp`` is
-    :func:`_ramlak_ramp` of the row length, built here when not given."""
-    data = sino.data if isinstance(sino, Sinogram) else sino
-    n_det = data.shape[-1]
-    ramp = _ramlak_ramp(n_det) if ramp is None else ramp
+def _ramlak_filter(data: np.ndarray, ramp: np.ndarray) -> np.ndarray:
+    """Ram-Lak filter along the last (detector) axis of a stack of projection
+    rows; ``ramp`` is :func:`_ramlak_ramp` of the row length."""
     size = 2 * (len(ramp) - 1)
     spectrum = np.fft.rfft(data, n=size, axis=-1)
     spectrum *= ramp
-    return np.fft.irfft(spectrum, n=size, axis=-1)[..., :n_det]
+    return np.fft.irfft(spectrum, n=size, axis=-1)[..., :data.shape[-1]]
 
 
 def _backproject(sino: np.ndarray, angles: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -97,6 +97,9 @@ class ModelParams:
             raise ValueError(f"max_attempts must be >= 0, got {self.max_attempts}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("box_edge", "mean_length", "length_stddev"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -452,8 +455,6 @@ def weight_fraction(volume_fraction: float,
                     fiber_density: float = GLASS_DENSITY,
                     matrix_density: float = EPOXY_DENSITY) -> float:
     """Weight fraction of fibers for a given volume fraction and densities."""
-    if volume_fraction == 0:
-        return 0.0
     fiber_mass = fiber_density * volume_fraction
     return fiber_mass / (fiber_mass + matrix_density * (1.0 - volume_fraction))
 

@@ -4,7 +4,9 @@ The filter favors bright tubular structures on a dark background: Hessian
 eigenvalues at each scale feed a per-voxel response built from the
 plate-vs-line ratio, the blobness ratio, and the second-order energy; the
 multi-scale result is the voxel-wise maximum over scales. A structure-tensor
-orientation estimator for the extracted fibers lives here too.
+orientation estimator for the extracted fibers lives here too. Both take their
+sampled-Gaussian derivatives from one separable routine, :func:`_derivatives`:
+15 convolution passes for the Hessian, 8 + 6 * 3 for the structure tensor.
 
 Memory note: the per-voxel steps (eigensolves, magnitude sort, response) run
 over slabs of about 128 x 128 x 8 voxels, so a kernel holds its six
@@ -111,10 +113,25 @@ def _convolve(data: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     return ndimage.convolve1d(data, kernel, axis=axis, output=np.float64, mode="reflect")
 
 
-def _separable(data: np.ndarray, kernels: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    out = data
-    for axis, kernel in enumerate(kernels):
-        out = _convolve(out, kernel, axis)
+def _derivatives(data: np.ndarray, sigma: float, orders) -> list[np.ndarray]:
+    """Sampled-Gaussian derivatives of ``data`` at ``sigma``, one float64
+    array per (x, y, z) order triple, each from an x, then a y, then a z pass.
+
+    Triples with the same x order share its pass, in order of first
+    appearance; a group's y passes all run before its x pass is dropped, and
+    the z passes come last, so that at most len(orders) + 1 full-volume
+    arrays are alive at once.
+    """
+    kernels = [gaussian_kernel(sigma, k) for k in range(max(map(max, orders)) + 1)]
+    out = [None] * len(orders)
+    for kx in dict.fromkeys(o[0] for o in orders):
+        x_pass = _convolve(data, kernels[kx], 0)
+        for i, o in enumerate(orders):
+            if o[0] == kx:
+                out[i] = _convolve(x_pass, kernels[o[1]], 1)
+        del x_pass
+    for i, o in enumerate(orders):
+        out[i] = _convolve(out[i], kernels[o[2]], 2)
     return out
 
 
@@ -202,34 +219,23 @@ def _sort_by_magnitude(lo, mid, hi):
 def hessian_at_scale(v: Volume, sigma: float) -> EigenField:
     """Scale-normalized Hessian eigenvalues of the volume at one scale.
 
-    Six Hessian components via separable sampled-Gaussian-derivative
-    convolution (reflect boundary), multiplied by sigma^2 (gamma = 2 scale
-    normalization), then a closed-form symmetric eigensolve per voxel.
-    Components with the same x kernel share its pass (15 passes, not 18); the
-    eigensolve runs over slabs, and the result does not depend on the slab
-    size.
+    Six Hessian components via :func:`_derivatives` (reflect boundary),
+    multiplied by sigma^2 (gamma = 2 scale normalization), then a closed-form
+    symmetric eigensolve per voxel. The components fall into three x groups
+    (orders 2, 1 and 0), so they take 15 passes, not 18, with at most seven
+    full-volume float64 arrays alive; the eigensolve runs over slabs, and the
+    result does not depend on the slab size.
     """
-    g, d1, d2 = (gaussian_kernel(sigma, order) for order in range(3))
-    s2 = sigma * sigma
-    h = {}
-    for kx, tails in ((d2, {"xx": (g, g)}), (d1, {"xy": (d1, g), "xz": (g, d1)}),
-                      (g, {"yy": (d2, g), "zz": (g, d2), "yz": (d1, d1)})):
-        # A group's y passes all run before its x pass is dropped, so that at
-        # most seven full-volume float64 arrays are alive at once.
-        x_pass = _convolve(v.data, kx, 0)
-        for name, (ky, _) in tails.items():
-            h[name] = _convolve(x_pass, ky, 1)
-        del x_pass
-        for name, (_, kz) in tails.items():
-            h[name] = _convolve(h[name], kz, 2)
-            h[name] *= s2
-    # hxx, hyy and hzz double as l1, l2 and l3: each slab is read before it is
+    xx, xy, xz, yy, zz, yz = h = _derivatives(
+        v.data, sigma, ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2), (0, 1, 1)))
+    for component in h:
+        component *= sigma * sigma
+    # xx, yy and zz double as l1, l2 and l3: each slab is read before it is
     # overwritten.
-    l1, l2, l3 = h["xx"], h["yy"], h["zz"]
     for sl in _slabs(v.grid.dims):
-        eigenvalues = _eig3_symmetric(*(h[k][sl] for k in ("xx", "yy", "zz", "xy", "xz", "yz")))
-        l1[sl], l2[sl], l3[sl] = _sort_by_magnitude(*eigenvalues)
-    return EigenField(grid=v.grid, l1=l1, l2=l2, l3=l3)
+        eigenvalues = _eig3_symmetric(*(c[sl] for c in (xx, yy, zz, xy, xz, yz)))
+        xx[sl], yy[sl], zz[sl] = _sort_by_magnitude(*eigenvalues)
+    return EigenField(grid=v.grid, l1=xx, l2=yy, l3=zz)
 
 
 def _divide_nonzero(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -366,8 +372,9 @@ def check_orientation(sigma_g: float, rho: float) -> None:
 def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> OrientationField:
     """Local fiber direction from the structure tensor.
 
-    Gradient from Gaussian first derivatives at ``sigma_g``; the gradient
-    outer product is smoothed component-wise at ``rho``; the orientation is
+    Gradient from Gaussian first derivatives at ``sigma_g`` (8 passes of
+    :func:`_derivatives`: gy and gz share the order-0 x pass); the six
+    gradient products are smoothed at ``rho`` > 0 (3 passes each); the axis is
     the eigenvector of the smallest tensor eigenvalue, canonicalized to
     z >= 0 (then y >= 0, then x >= 0 on ties). It comes in closed form, and
     from eigh where J = 0 or the smallest eigenvalue is double (everywhere at
@@ -376,17 +383,10 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
     runs over slabs, and the result does not depend on the slab size.
     """
     check_orientation(sigma_g, rho)
-    g = gaussian_kernel(sigma_g, 0)
-    d1 = gaussian_kernel(sigma_g, 1)
-    gx = _separable(v.data, (d1, g, g))
-    gy = _separable(v.data, (g, d1, g))
-    gz = _separable(v.data, (g, g, d1))
+    gx, gy, gz = _derivatives(v.data, sigma_g, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def smooth(component: np.ndarray) -> np.ndarray:
-        if rho == 0:
-            return component
-        k = gaussian_kernel(rho, 0)
-        return _separable(component, (k, k, k))
+        return component if rho == 0 else _derivatives(component, rho, ((0, 0, 0),))[0]
 
     # Each gradient is dropped once its last product is formed.
     jxx, jxy, jxz = smooth(gx * gx), smooth(gx * gy), smooth(gx * gz)

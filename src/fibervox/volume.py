@@ -15,6 +15,7 @@ Every artifact is written to a temporary file and moved into place with
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +53,8 @@ class GridSpec:
             raise ValueError(f"grid dims must be three voxel counts >= 1, got {self.dims}")
         if not self.voxel_size > 0:
             raise ValueError(f"voxel_size must be > 0, got {self.voxel_size}")
+        if self.voxel_size == math.inf:
+            raise ValueError(f"voxel_size must be finite, got {self.voxel_size}")
 
     @property
     def voxel_count(self) -> int:

@@ -325,3 +325,29 @@ def test_import_loads_the_package_and_its_eight_modules():
     assert modules == str(["fibervox"] + [f"fibervox.{m}" for m in (
         "annotate", "config", "ctsim", "fibers", "mesh", "metrics", "vesselness", "volume")])
     assert version == fibervox.__version__ == "0.1.0"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(os.environ.get("FIBERVOX_SLOW") != "1",
+                    reason="set FIBERVOX_SLOW=1 to run the table1 chain at 241^3 (~1 min, ~1 GB)")
+def test_table1_chain_scales_and_dice(tmp_path):
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "table1.json")
+    steps = [
+        ("generate", "--config", cfg, "--out-dir", str(tmp_path)),
+        ("rasterize", "--config", cfg, "--fibers", str(tmp_path / "fibers.csv"),
+         "--out-dir", str(tmp_path)),
+        ("degrade", "--config", cfg, "--input", str(tmp_path / "atten"),
+         "--output", str(tmp_path / "gray")),
+        ("segment", "--config", cfg, "--input", str(tmp_path / "gray"),
+         "--out-dir", str(tmp_path)),
+        ("evaluate", "--config", cfg, "--truth", str(tmp_path / "gt"),
+         "--pred", str(tmp_path / "pred"), "--output", str(tmp_path / "metrics.json")),
+    ]
+    lines = {}
+    for step in steps:
+        code, out, err = run_cli(*step)
+        assert code == 0, f"{step[0]} failed: {err}"
+        lines[step[0]] = json.loads(out)
+    # default_scales(6.5 um, 8.3 um): the fiber radius in voxels times 0.6, 0.9 and 1.2
+    assert lines["segment"]["scales"] == [0.46988, 0.704819, 0.939759]
+    assert lines["evaluate"]["dice"] >= 0.85

@@ -15,11 +15,11 @@ import pytest
 from scipy import ndimage
 
 from fibervox import vesselness
-from fibervox.ctsim import (Sinogram, _axis_centers, _capsules, _ramlak_filter, fbp_slice,
-                            rasterize_attenuation)
+from fibervox.ctsim import (Sinogram, _axis_centers, _capsules, _ramlak_filter, _ramlak_ramp,
+                            fbp_slice, rasterize_attenuation)
 from fibervox.fibers import Fiber, FiberModel, ModelParams, hemisphere
 from fibervox.vesselness import (EigenField, ScaleSet, VesselnessParams, _divide_nonzero,
-                                 _eig3_symmetric, _separable, _sort_by_magnitude,
+                                 _eig3_symmetric, _sort_by_magnitude,
                                  frangi_multiscale, frangi_response, gaussian_kernel,
                                  hessian_at_scale, structure_tensor_orientation)
 from fibervox.volume import GridSpec, Volume
@@ -36,7 +36,7 @@ def assert_bits_equal(a, b):
 
 def fbp_reference(sino, shape):
     nx, ny = shape
-    filtered = _ramlak_filter(sino)
+    filtered = _ramlak_filter(sino.data, _ramlak_ramp(sino.n_detectors))
     n_det = sino.n_detectors
     center = (n_det - 1) / 2.0
     gx = np.arange(nx, dtype=np.float64)[:, None] - (nx - 1) / 2.0
@@ -230,6 +230,12 @@ def test_segment_kernels_match_references_at_the_default_slab():
 
 
 # ------------------------------------------------------------ structure tensor
+
+
+def _separable(data, kernels):
+    for axis, kernel in enumerate(kernels):
+        data = ndimage.convolve1d(data, kernel, axis=axis, output=np.float64, mode="reflect")
+    return data
 
 
 def orientation_reference(v, sigma_g, rho):

@@ -129,7 +129,8 @@ def test_fibers_csv_rejects_duplicate_ids(tmp_path):
     ("1,10,10,10,20,10,10", "requires 8 columns but 7 were found"),
     ("0,10,10,10,20,10,10,6.5", "fiber id must be positive, got 0"),
     ("1,10,10,10,20,10,10,0", "fiber radius must be > 0, got 0.0"),
-], ids=["fractional-id", "text-id", "missing-column", "zero-id", "zero-radius"])
+    ("1,10,10,10,10,10,10,6.5", "fiber length must be > 0"),
+], ids=["fractional-id", "text-id", "missing-column", "zero-id", "zero-radius", "zero-length"])
 def test_fibers_csv_rejects_bad_rows(tmp_path, row, message):
     path = tmp_path / "fibers.csv"
     path.write_text(CSV_HEADER + "2,10,40,10,20,40,10,6.5\n" + row + "\n")
@@ -137,6 +138,35 @@ def test_fibers_csv_rejects_bad_rows(tmp_path, row, message):
         read_fibers_csv(path)
     assert str(err.value).startswith(f"bad fiber CSV '{path}': ")
     assert message in str(err.value)
+
+
+def test_rasterize_cli_reports_zero_length_fiber(tmp_path):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    path = tmp_path / "fibers.csv"
+    path.write_text(CSV_HEADER + "3,20,20,20,20,20,20,6.5\n")
+    code, out, err = run_cli("rasterize", "--config", str(cfg), "--fibers", str(path),
+                             "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.strip() == (f"error stage=rasterize: bad fiber CSV '{path}': "
+                           "fiber length must be > 0")
+    assert not (tmp_path / "gt.raw").exists()
+
+
+def test_rasterize_skips_fiber_below_the_origin(tmp_path):
+    # the capsule's bounding box lies wholly at negative coordinates
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    rows = CSV_HEADER + "3,20,20,20,40,20,20,6.5\n"
+    for name, text in (("kept", rows), ("below", rows + "4,-90,-60,-70,-30,-40,-20,6.5\n")):
+        (tmp_path / f"{name}.csv").write_text(text)
+        code, _, err = run_cli("rasterize", "--config", str(cfg),
+                               "--fibers", str(tmp_path / f"{name}.csv"),
+                               "--out-dir", str(tmp_path / name))
+        assert code == 0, err
+    for stem in ("gt", "atten"):
+        assert ((tmp_path / "below" / f"{stem}.raw").read_bytes()
+                == (tmp_path / "kept" / f"{stem}.raw").read_bytes())
 
 
 def test_rasterize_cli_reports_duplicate_ids(tmp_path):
@@ -188,9 +218,10 @@ def test_degrade_cli_names_bad_sidecar(tmp_path):
     {"dims": [True, 2, 2]},
     {"voxel_size_um": -1.0},
     {"voxel_size_um": True},    # would read as 1.0
+    {"voxel_size_um": math.inf},
     {"dtype": [1]},
 ], ids=["dims-length", "dims-type", "dims-value", "dims-item", "dims-float", "dims-bool",
-        "voxel-size", "voxel-size-bool", "dtype-unhashable"])
+        "voxel-size", "voxel-size-bool", "voxel-size-inf", "dtype-unhashable"])
 def test_read_volume_names_sidecar_with_bad_fields(tmp_path, fields):
     write_volume(Volume(GridSpec((2, 2, 2), 1.0), np.zeros((2, 2, 2))), tmp_path / "v")
     meta = json.loads((tmp_path / "v.json").read_text())
@@ -316,6 +347,23 @@ def test_negative_seeds_are_rejected():
         ModelParams(seed=-1)
     with pytest.raises(ValueError, match="^noise_seed must be >= 0, got -1$"):
         DegradeParams(noise_seed=-1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DegradeParams(psf_sigma=math.inf), "psf_sigma must be finite, got inf"),
+    (lambda: DegradeParams(psf_sigma=-math.inf), "psf_sigma must be >= 0, got -inf"),
+    (lambda: ModelParams(box_edge=math.inf), "box_edge must be finite, got inf"),
+    (lambda: ModelParams(box_edge=-math.inf), "box_edge must be > 0, got -inf"),
+    (lambda: ModelParams(mean_length=math.inf), "mean_length must be finite, got inf"),
+    (lambda: ModelParams(length_stddev=math.inf), "length_stddev must be finite, got inf"),
+    (lambda: ModelParams(length_stddev=math.nan), "length_stddev must be finite, got nan"),
+    (lambda: GridSpec((4, 4, 4), math.inf), "voxel_size must be finite, got inf"),
+    (lambda: GridSpec((4, 4, 4), -math.inf), "voxel_size must be > 0, got -inf"),
+], ids=["psf-sigma", "psf-sigma-negative", "box-edge", "box-edge-negative", "mean-length",
+        "length-stddev-inf", "length-stddev-nan", "voxel-size", "voxel-size-negative"])
+def test_model_degrade_and_grid_settings_must_be_finite(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_degrade_cli_rejects_negative_noise_seed(tmp_path, monkeypatch):
