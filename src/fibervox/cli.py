@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .annotate import annotations_from_fibers, read_annotations, region_grow, render_polylines
 from .config import PipelineConfig
-from .ctsim import (check_attenuation, degrade, rasterize_attenuation, rasterize_labels,
-                    simulate_fbp, write_sinogram)
+from .ctsim import (check_attenuation, degrade, fibers_outside, rasterize_attenuation,
+                    rasterize_labels, simulate_fbp, write_sinogram)
 from .fibers import (FiberModel, generate_model, histogram_fields, length_histogram,
                      model_statistics, orientation_histograms, read_fibers_csv,
                      stats_document, write_fibers_csv)
@@ -97,7 +97,7 @@ def _cmd_rasterize(args, cfg: PipelineConfig, out: _Outputs) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     out.track(*write_volume(labels, out_dir / "gt"))
     out.track(*write_volume(atten, out_dir / "atten"))
-    _summary(stage="rasterize", conflicts=conflicts,
+    _summary(stage="rasterize", conflicts=conflicts, fibers_outside=fibers_outside(fibers, grid),
              labeled_voxels=int(np.count_nonzero(labels.data)))
 
 
@@ -160,12 +160,16 @@ def _cmd_segment(args, cfg: PipelineConfig, out: _Outputs) -> None:
     instances = connected_components(mask)
     for vol, name in ((response, "vess"), (mask, "mask"), (instances, "pred")):
         out.track(*write_volume(vol, out_dir / name))
+    summary = dict(stage="segment", components=int(instances.data.max()),
+                   mask_voxels=int(np.count_nonzero(mask.data)), scales=list(scales.sigmas))
+    # The written volumes are dropped so that the structure tensor's peak does
+    # not stack on them.
+    del prepared, response, mask, instances, vol
     if args.orientation:
         field = structure_tensor_orientation(gray, seg["orientation_sigma_g"],
                                              seg["orientation_rho"])
         out.track(*write_orientation_field(field, args.orientation))
-    _summary(stage="segment", components=int(instances.data.max()),
-             mask_voxels=int(np.count_nonzero(mask.data)), scales=list(scales.sigmas))
+    _summary(**summary)
 
 
 def _cmd_evaluate(args, cfg: PipelineConfig, out: _Outputs) -> None:

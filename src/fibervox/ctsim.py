@@ -85,17 +85,32 @@ def _segment_point_dist_sq(p0, axis, inv_len_sq, px, py, pz):
     return dx * dx + dy * dy + dz * dz
 
 
-def _capsules(fibers, grid: GridSpec):
-    """Yield ``(fiber, box, d2, dist_sq)`` for each fiber whose capsule meets
-    the grid: the index slices of the capsule's bounding box, the squared
-    distance of each box voxel center to the fiber axis, and
-    ``dist_sq(px, py, pz)`` giving that distance for any broadcastable point
-    coordinates. All bounding boxes come from one array expression."""
+def _capsule_boxes(fibers, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """First and last voxel index (n, 3) of each fiber capsule's bounding box,
+    clipped to the grid; a box that misses the grid has first > last on some
+    axis. All boxes come from one array expression."""
     p0, p1, radii = _fiber_arrays(fibers)
     h = grid.voxel_size
     first = np.maximum(np.floor((np.minimum(p0, p1) - radii[:, None]) / h - 0.5).astype(int), 0)
     last = np.minimum(np.ceil((np.maximum(p0, p1) + radii[:, None]) / h - 0.5).astype(int),
                       np.asarray(grid.dims) - 1)
+    return first, last
+
+
+def fibers_outside(fibers, grid: GridSpec) -> int:
+    """The number of fibers whose capsule's bounding box misses the grid: the
+    fibers that rasterization skips."""
+    first, last = _capsule_boxes(fibers, grid)
+    return int(np.count_nonzero((first > last).any(axis=1)))
+
+
+def _capsules(fibers, grid: GridSpec):
+    """Yield ``(fiber, box, d2, dist_sq)`` for each fiber whose capsule meets
+    the grid: the index slices of the capsule's bounding box, the squared
+    distance of each box voxel center to the fiber axis, and
+    ``dist_sq(px, py, pz)`` giving that distance for any broadcastable point
+    coordinates."""
+    first, last = _capsule_boxes(fibers, grid)
     centers = _axis_centers(grid)
     for fiber, lo, hi in zip(fibers, first.tolist(), last.tolist()):
         if any(a > b for a, b in zip(lo, hi)):

@@ -93,6 +93,10 @@ class ModelParams:
             raise ValueError(f"length_stddev must be >= 0, got {self.length_stddev}")
         if not 0 < self.target_fraction < 1:
             raise ValueError(f"target_fraction must be in (0, 1), got {self.target_fraction}")
+        for name in ("max_attempts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_attempts < 0:
             raise ValueError(f"max_attempts must be >= 0, got {self.max_attempts}")
         if self.seed < 0:

@@ -8,18 +8,26 @@ orientation estimator for the extracted fibers lives here too. Both take their
 sampled-Gaussian derivatives from one separable routine, :func:`_derivatives`:
 15 convolution passes for the Hessian, 8 + 6 * 3 for the structure tensor.
 
-Memory note: the per-voxel steps (eigensolves, magnitude sort, response) run
-over slabs of about 128 x 128 x 8 voxels, so a kernel holds its six
-full-volume float64 components and its outputs plus a few slab temporaries;
-the structure tensor's closed-form axis and its eigh fallback need no
-(..., 3, 3) stack beyond the fallback voxels. Peak RSS of one standalone call
-(three Frangi scales; the structure tensor at sigma_g 1, rho 2): Frangi
-199 MB at 128^3 and 0.98 GB at 241^3, the structure tensor 233 MB and 1.07 GB.
+Memory and threads: the per-voxel steps (sigma^2 scaling, eigensolves,
+magnitude sort, response) run over slabs of about 128 x 128 x 2 voxels, whose
+256 KB float64 temporaries stay near a core's L2, on every CPU the process may
+use (:func:`_each_slab`); the Gaussian passes stay on the calling thread,
+because scipy's ``correlate1d`` holds the GIL. A kernel holds its six
+full-volume float64 components and its outputs plus a few slab temporaries
+per thread; the structure tensor's closed-form axis and its eigh fallback
+need no (..., 3, 3) stack beyond the fallback voxels. Peak RSS of one
+standalone call on 2 CPUs (three Frangi scales; the structure tensor at
+sigma_g 1, rho 2): Frangi 206 MB at 128^3 and 0.99 GB at 241^3, the structure
+tensor 239 MB and 1.07 GB. At 128^3, 13 and 6 MB of that is the second
+thread's malloc arena, which keeps freed slab temporaries (193 and 233 MB
+with one arena); deeper slabs keep more.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,10 +37,10 @@ from scipy import ndimage
 from .fibers import hemisphere
 from .volume import GridSpec, LabelVolume, Volume, _raw_payloads, read_volume, write_files
 
-# Voxels per slab of the per-voxel steps (eigensolves, sort, response): 8 x
-# 128 x 128, so that each of their float64 temporaries stays near 1 MB whatever
-# the grid.
-_SLAB_VOXELS = 128 * 128 * 8
+# Voxels per slab of the per-voxel steps (eigensolves, sort, response): 2 x
+# 128 x 128, so that each of their float64 temporaries stays near 256 KB, in a
+# core's L2, whatever the grid.
+_SLAB_VOXELS = 128 * 128 * 2
 
 
 @dataclass(frozen=True)
@@ -145,6 +153,55 @@ def _slabs(dims: tuple[int, int, int]) -> list[slice]:
     return [slice(x0, x0 + depth) for x0 in range(0, nx, depth)]
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _each_slab(fn, dims: tuple[int, int, int]) -> list:
+    """``[fn(sl) for sl in _slabs(dims)]``, with the slabs shared out among the
+    calling thread and one more thread per further CPU. All are joined before
+    this returns, and the first exception any of them raised is raised here.
+
+    numpy's ufuncs release the GIL, so slabs overlap; scipy's ``correlate1d``
+    does not (two passes on two threads take as long as one after the other),
+    so the convolution passes stay on the calling thread. ``fn`` writes only
+    its own slab, calls no public function (the benchmark's tracer wraps
+    those, and its span stack serves one thread) and sets any ``np.errstate``
+    itself, since that state is per thread.
+    """
+    slabs = _slabs(dims)
+    results = [None] * len(slabs)
+    todo = iter(enumerate(slabs))
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        try:
+            while not errors:
+                with lock:
+                    i, sl = next(todo, (None, None))
+                if sl is None:
+                    return
+                results[i] = fn(sl)
+        except BaseException as exc:  # re-raised by the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(_cpu_count(), len(slabs)) - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _eig3_symmetric(a11, a22, a33, a12, a13, a23):
     """Closed-form eigenvalues of symmetric 3x3 matrices (trigonometric form).
 
@@ -223,18 +280,21 @@ def hessian_at_scale(v: Volume, sigma: float) -> EigenField:
     multiplied by sigma^2 (gamma = 2 scale normalization), then a closed-form
     symmetric eigensolve per voxel. The components fall into three x groups
     (orders 2, 1 and 0), so they take 15 passes, not 18, with at most seven
-    full-volume float64 arrays alive; the eigensolve runs over slabs, and the
-    result does not depend on the slab size.
+    full-volume float64 arrays alive; the scaling and the eigensolve run over
+    slabs (:func:`_each_slab`), and the result does not depend on the slab
+    size or the thread count.
     """
-    xx, xy, xz, yy, zz, yz = h = _derivatives(
+    xx, xy, xz, yy, zz, yz = _derivatives(
         v.data, sigma, ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2), (0, 1, 1)))
-    for component in h:
-        component *= sigma * sigma
+    scale = sigma * sigma
+
     # xx, yy and zz double as l1, l2 and l3: each slab is read before it is
     # overwritten.
-    for sl in _slabs(v.grid.dims):
-        eigenvalues = _eig3_symmetric(*(c[sl] for c in (xx, yy, zz, xy, xz, yz)))
+    def solve(sl):
+        eigenvalues = _eig3_symmetric(*(c[sl] * scale for c in (xx, yy, zz, xy, xz, yz)))
         xx[sl], yy[sl], zz[sl] = _sort_by_magnitude(*eigenvalues)
+
+    _each_slab(solve, v.grid.dims)
     return EigenField(grid=v.grid, l1=xx, l2=yy, l3=zz)
 
 
@@ -255,15 +315,15 @@ def frangi_response(e: EigenField, p: VesselnessParams) -> Volume:
     (ratios undefined). A null ``p.c`` becomes half the maximum S over this
     field.
     """
-    slabs = _slabs(e.grid.dims)
     out = np.zeros(e.grid.dims, dtype=np.float32)
     if p.c is None:
-        c = 0.5 * math.sqrt(max(float(_energy(e, sl).max()) for sl in slabs))
+        c = 0.5 * math.sqrt(max(_each_slab(lambda sl: float(_energy(e, sl).max()), e.grid.dims)))
     else:
         c = float(p.c)
     if c == 0:
         return Volume(grid=e.grid, data=out)
-    for sl in slabs:
+
+    def respond(sl):
         l1, l2, l3 = e.l1[sl], e.l2[sl], e.l3[sl]
         # Each factor lies in [0, 1], and so does their rounded product.
         ra2 = _divide_nonzero(l2 * l2, l3 * l3)
@@ -272,6 +332,8 @@ def frangi_response(e: EigenField, p: VesselnessParams) -> Volume:
                     * np.exp(-rb2 / (2.0 * p.beta**2))
                     * (1.0 - np.exp(-_energy(e, sl) / (2.0 * c * c))))
         out[sl] = np.where((l2 <= 0) & (l3 < 0), response, 0.0)
+
+    _each_slab(respond, e.grid.dims)
     return Volume(grid=e.grid, data=out)
 
 
@@ -380,7 +442,8 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
     from eigh where J = 0 or the smallest eigenvalue is double (everywhere at
     ``rho`` = 0): see :func:`_smallest_eigenvector`. Voxels whose tensor trace
     is below 1e-12 of the volume maximum are flagged invalid. The eigensolve
-    runs over slabs, and the result does not depend on the slab size.
+    runs over slabs (:func:`_each_slab`), and the result does not depend on
+    the slab size or the thread count.
     """
     check_orientation(sigma_g, rho)
     gx, gy, gz = _derivatives(v.data, sigma_g, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -402,9 +465,12 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
     del trace
 
     axes = np.empty(v.grid.dims + (3,), dtype=np.float32)
-    for sl in _slabs(v.grid.dims):
+
+    def solve(sl):
         axes[sl] = hemisphere(_smallest_eigenvector(*(c[sl] for c in (jxx, jyy, jzz, jxy, jxz,
                                                                        jyz))))
+
+    _each_slab(solve, v.grid.dims)
     return OrientationField(grid=v.grid, axes=axes, valid=valid)
 
 

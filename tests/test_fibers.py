@@ -124,6 +124,17 @@ def test_model_params_validation(kw):
         ModelParams(**kw)
 
 
+@pytest.mark.parametrize("name, value", [("max_attempts", math.inf), ("max_attempts", 2.5),
+                                         ("seed", 1.5)])
+def test_model_params_reject_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ModelParams(**{name: value})
+
+
+def test_model_params_accept_numpy_integers():
+    assert ModelParams(seed=np.int64(3), max_attempts=np.int32(5)).seed == 3
+
+
 # ---------------------------------------------------------------- generation
 
 

@@ -158,12 +158,14 @@ def test_rasterize_skips_fiber_below_the_origin(tmp_path):
     cfg = tmp_path / "tiny.json"
     cfg.write_text(json.dumps(TINY))
     rows = CSV_HEADER + "3,20,20,20,40,20,20,6.5\n"
-    for name, text in (("kept", rows), ("below", rows + "4,-90,-60,-70,-30,-40,-20,6.5\n")):
+    for name, text, outside in (("kept", rows, 0),
+                                ("below", rows + "4,-90,-60,-70,-30,-40,-20,6.5\n", 1)):
         (tmp_path / f"{name}.csv").write_text(text)
-        code, _, err = run_cli("rasterize", "--config", str(cfg),
-                               "--fibers", str(tmp_path / f"{name}.csv"),
-                               "--out-dir", str(tmp_path / name))
+        code, out, err = run_cli("rasterize", "--config", str(cfg),
+                                 "--fibers", str(tmp_path / f"{name}.csv"),
+                                 "--out-dir", str(tmp_path / name))
         assert code == 0, err
+        assert json.loads(out)["fibers_outside"] == outside
     for stem in ("gt", "atten"):
         assert ((tmp_path / "below" / f"{stem}.raw").read_bytes()
                 == (tmp_path / "kept" / f"{stem}.raw").read_bytes())

@@ -3,9 +3,10 @@ one volume-size float64 array.
 
 Their per-voxel steps run over slabs of whole y-z planes, so a peak is the
 full-volume arrays a kernel keeps (the six Hessian or tensor components and
-the outputs) plus a few slab temporaries. At the default slab size a 48^3
-grid is a single slab, so that case uses eight-plane slabs, the depth the
-default gives on 128 x 128 planes; the second case runs at the default."""
+the outputs) plus a few slab temporaries for each thread. At the default
+slab size a 48^3 grid is four 14-plane slabs, so that case uses two-plane
+slabs, the depth the default gives on 128 x 128 planes; the second case runs
+at the default."""
 
 import tracemalloc
 
@@ -31,7 +32,7 @@ def traced_peak(call) -> int:
 
 
 @pytest.mark.parametrize("dims, slab_voxels", [
-    ((48, 48, 48), 48 * 48 * 8),
+    ((48, 48, 48), 48 * 48 * 2),
     ((48, 128, 128), None),
 ], ids=["48-cubed", "default-slab"])
 def test_segment_kernel_peaks_stay_under_sixteen_volumes(dims, slab_voxels, monkeypatch):
