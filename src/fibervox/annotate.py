@@ -24,9 +24,10 @@ _NO_OFFER = np.int64(2**62)
 
 
 def _exact_int(value, what: str) -> int:
-    """``int(value)``, refusing values it would round or parse (0.9, "3")."""
+    """``int(value)``, refusing values it would round or parse (0.9, "3") and
+    bools."""
     try:
-        if int(value) == value:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -6,13 +6,14 @@ evaluate -> stats. Every stage prints a one-line JSON summary on success and
 ``error stage=<name>: <message>`` on stderr with a nonzero exit otherwise.
 Every artifact is written to a temporary file and moved into place with
 ``os.replace``. A failed stage removes the files it wrote, and never one it
-failed to replace.
+failed to replace; so does a stage stopped by Ctrl-C or SIGTERM.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -21,8 +22,8 @@ import numpy as np
 from . import __version__
 from .annotate import annotations_from_fibers, read_annotations, region_grow, render_polylines
 from .config import PipelineConfig
-from .ctsim import (check_attenuation, degrade, fibers_outside, rasterize_attenuation,
-                    rasterize_labels, simulate_fbp, write_sinogram)
+from .ctsim import (degrade, fibers_outside, rasterize_attenuation, rasterize_labels,
+                    simulate_fbp, write_sinogram)
 from .fibers import (FiberModel, generate_model, histogram_fields, length_histogram,
                      model_statistics, orientation_histograms, read_fibers_csv,
                      stats_document, write_fibers_csv)
@@ -86,13 +87,13 @@ def _cmd_generate(args, cfg: PipelineConfig, out: _Outputs) -> None:
 
 def _cmd_rasterize(args, cfg: PipelineConfig, out: _Outputs) -> None:
     raster = cfg.raw["raster"]
-    levels = (raster["fiber_value"], raster["matrix_value"])
-    check_attenuation(raster["supersample"], levels)
     fibers = read_fibers_csv(args.fibers)
     model = FiberModel(params=cfg.model_params(), fibers=fibers)
     grid = cfg.grid_spec()
+    # Attenuation first: it checks the levels and supersample before any work.
+    atten = rasterize_attenuation(model, grid, supersample=raster["supersample"],
+                                  levels=(raster["fiber_value"], raster["matrix_value"]))
     labels, conflicts = rasterize_labels(model, grid)
-    atten = rasterize_attenuation(model, grid, supersample=raster["supersample"], levels=levels)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out.track(*write_volume(labels, out_dir / "gt"))
@@ -312,10 +313,16 @@ _HANDLERS = {
 }
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(f"interrupted by {signal.Signals(signum).name}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     outputs = _Outputs()
+    # SIGTERM, like Ctrl-C, fails the stage through the handler below.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         cfg = PipelineConfig.load(args.config)
         cfg.apply_overrides(args.overrides)
@@ -324,13 +331,15 @@ def main(argv=None) -> int:
             cfg.raw["degrade"]["noise_seed"] = args.seed
         _HANDLERS[args.command](args, cfg, outputs)
         return 0
-    except Exception as exc:  # noqa: BLE001 - single CLI error boundary
+    except (Exception, KeyboardInterrupt) as exc:  # noqa: BLE001 - single CLI error boundary
         # files a failed write had already moved into place count as written
         outputs.track(*getattr(exc, "written", ()))
         outputs.cleanup()
-        message = " ".join(str(exc).split())
+        message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error stage={args.command}: {message}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import ndimage
 
 from .fibers import EPOXY_DENSITY, GLASS_DENSITY, FiberModel, _fiber_arrays
-from .volume import GridSpec, LabelVolume, Volume, _raw_payloads, write_files
+from .volume import GridSpec, LabelVolume, Volume, _check_number, _raw_payloads, write_files
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,10 @@ class DegradeParams:
     matrix_value: float = EPOXY_DENSITY
 
     def __post_init__(self):
-        if not self.psf_sigma >= 0:
-            raise ValueError(f"psf_sigma must be >= 0, got {self.psf_sigma}")
-        if self.psf_sigma == math.inf:
-            raise ValueError(f"psf_sigma must be finite, got {self.psf_sigma}")
+        _check_number("psf_sigma", self.psf_sigma, strict=False)
         if not self.snr > 0:
             raise ValueError(f"snr must be > 0 (or infinite), got {self.snr}")
-        if self.noise_seed < 0:
-            raise ValueError(f"noise_seed must be >= 0, got {self.noise_seed}")
+        _check_number("noise_seed", self.noise_seed, strict=False, integer=True)
 
 
 def _check_grid_covers(grid: GridSpec, box_edge: float) -> None:
@@ -139,15 +135,6 @@ def rasterize_labels(m: FiberModel, grid: GridSpec) -> tuple[LabelVolume, int]:
     return labels, conflicts
 
 
-def check_attenuation(supersample: int, levels: tuple[float, float]) -> None:
-    """Raise unless ``supersample`` >= 1 and the fiber level (first) exceeds
-    the matrix level."""
-    if supersample < 1:
-        raise ValueError(f"supersample must be >= 1, got {supersample}")
-    if not levels[0] > levels[1]:
-        raise ValueError("fiber level must exceed matrix level")
-
-
 def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
                           levels: tuple[float, float] = (GLASS_DENSITY, EPOXY_DENSITY)) -> Volume:
     """Anti-aliased attenuation volume.
@@ -157,10 +144,16 @@ def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
     covered voxels are exactly fiber_value; untouched voxels exactly
     matrix_value. Only voxels whose center distance to the capsule is within
     half a voxel diagonal of the radius are sub-sampled; others are decided
-    wholesale, which is exact for this sub-lattice.
+    wholesale, which is exact for this sub-lattice. ``supersample`` is an
+    integer from 1 to 40 (the sub-sample counts are uint16), and the fiber
+    level (first) must exceed the matrix level.
     """
-    check_attenuation(supersample, levels)
+    _check_number("supersample", supersample, low=1, strict=False, integer=True)
+    if supersample > 40:  # 40**3 sub-samples still fit the uint16 counts
+        raise ValueError(f"supersample must be <= 40, got {supersample}")
     fiber_value, matrix_value = levels
+    if not fiber_value > matrix_value:
+        raise ValueError("fiber level must exceed matrix level")
     _check_grid_covers(grid, m.params.box_edge)
 
     h = grid.voxel_size
@@ -185,8 +178,10 @@ def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
         region[si, sj, sk] = np.minimum(
             region[si, sj, sk].astype(np.int64) + inside, s3).astype(np.uint16)
 
-    frac = counts.astype(np.float64) / s3
-    out = matrix_value + (fiber_value - matrix_value) * frac
+    # matrix + (fiber - matrix) * counts / s3, in place in one float64 array.
+    out = np.divide(counts, s3, dtype=np.float64)
+    out *= fiber_value - matrix_value
+    out += matrix_value
     out[counts >= s3] = fiber_value
     return Volume(grid=grid, data=out.astype(np.float32))
 
@@ -234,8 +229,7 @@ _RAY_SAMPLES = 1 << 16
 
 
 def _angles(n_angles: int) -> np.ndarray:
-    if n_angles < 1:
-        raise ValueError(f"n_angles must be >= 1, got {n_angles}")
+    _check_number("n_angles", n_angles, low=1, strict=False, integer=True)
     return np.arange(n_angles) * math.pi / n_angles
 
 

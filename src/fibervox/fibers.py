@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .volume import write_files
+from .volume import _check_number, write_files
 
 # Glass fiber / epoxy matrix densities in g/cc used for weight-fraction accounting.
 GLASS_DENSITY = 2.54
@@ -46,12 +46,15 @@ class Fiber:
         self.p0 = np.asarray(self.p0, dtype=np.float64)
         self.p1 = np.asarray(self.p1, dtype=np.float64)
         self.radius = float(self.radius)
+        if isinstance(self.id, bool) or not isinstance(self.id, (int, np.integer)):
+            raise ValueError(f"fiber id must be an integer, got {self.id!r}")
         if self.id < 1:
             raise ValueError(f"fiber id must be positive, got {self.id}")
         if self.p0.shape != (3,) or self.p1.shape != (3,):
             raise ValueError("fiber endpoints must be 3D points")
-        if not self.radius > 0:
-            raise ValueError(f"fiber radius must be > 0, got {self.radius}")
+        if not all(map(math.isfinite, self.p0.tolist() + self.p1.tolist())):
+            raise ValueError("fiber endpoints must be finite")
+        _check_number("fiber radius", self.radius)
         if not self.length > 0:
             raise ValueError("fiber length must be > 0")
 
@@ -81,29 +84,16 @@ class ModelParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.box_edge > 0:
-            raise ValueError(f"box_edge must be > 0, got {self.box_edge}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+        _check_number("box_edge", self.box_edge)
+        _check_number("radius", self.radius)
         if not 2 * self.radius < self.box_edge:
             raise ValueError("fiber diameter must be smaller than the box edge")
-        if not self.mean_length > 0:
-            raise ValueError(f"mean_length must be > 0, got {self.mean_length}")
-        if self.length_stddev < 0:
-            raise ValueError(f"length_stddev must be >= 0, got {self.length_stddev}")
+        _check_number("mean_length", self.mean_length)
+        _check_number("length_stddev", self.length_stddev, strict=False)
         if not 0 < self.target_fraction < 1:
             raise ValueError(f"target_fraction must be in (0, 1), got {self.target_fraction}")
-        for name in ("max_attempts", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.max_attempts < 0:
-            raise ValueError(f"max_attempts must be >= 0, got {self.max_attempts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("box_edge", "mean_length", "length_stddev"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_number("max_attempts", self.max_attempts, strict=False, integer=True)
+        _check_number("seed", self.seed, strict=False, integer=True)
 
 
 @dataclass

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .fibers import _fiber_arrays
-from .volume import write_files
+from .volume import _check_number, write_files
 
 _TRI_DTYPE = np.dtype([
     ("normal", "<f4", 3),
@@ -73,8 +73,7 @@ def export_stl(model, segments_per_circle: int = 24) -> bytes:
 
     Each fiber contributes 4 * segments_per_circle triangles.
     """
-    if segments_per_circle < 3:
-        raise ValueError(f"segments_per_circle must be >= 3, got {segments_per_circle}")
+    _check_number("segments_per_circle", segments_per_circle, low=3, strict=False, integer=True)
     p0, p1, radii = _fiber_arrays(getattr(model, "fibers", model))
     tris = cylinder_triangles(p0, p1, radii, segments_per_circle).reshape(-1, 3, 3)
 

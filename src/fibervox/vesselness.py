@@ -35,7 +35,8 @@ import numpy as np
 from scipy import ndimage
 
 from .fibers import hemisphere
-from .volume import GridSpec, LabelVolume, Volume, _raw_payloads, read_volume, write_files
+from .volume import (GridSpec, LabelVolume, Volume, _check_number, _raw_payloads, read_volume,
+                     write_files)
 
 # Voxels per slab of the per-voxel steps (eigensolves, sort, response): 2 x
 # 128 x 128, so that each of their float64 temporaries stays near 256 KB, in a
@@ -101,8 +102,7 @@ def gaussian_kernel(sigma: float, order: int = 0) -> np.ndarray:
     Discrete normalization: order 0 sums to 1; order 1 is odd (sums to 0);
     order 2 is mean-subtracted to sum exactly to 0.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    _check_number("sigma", sigma)
     radius = math.ceil(4.0 * sigma) + 1
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-x * x / (2.0 * sigma * sigma))
@@ -422,13 +422,8 @@ class OrientationField:
 def check_orientation(sigma_g: float, rho: float) -> None:
     """Raise unless the structure-tensor scales are finite with ``sigma_g`` > 0
     and ``rho`` >= 0."""
-    if not sigma_g > 0:
-        raise ValueError(f"sigma_g must be > 0, got {sigma_g}")
-    if not rho >= 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    for name, value in (("sigma_g", sigma_g), ("rho", rho)):
-        if value == math.inf:
-            raise ValueError(f"{name} must be finite, got {value}")
+    _check_number("sigma_g", sigma_g)
+    _check_number("rho", rho, strict=False)
 
 
 def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> OrientationField:

@@ -38,6 +38,19 @@ NEIGHBORS_26 = tuple(
 )
 
 
+def _check_number(name: str, value, low=0, strict: bool = True, integer: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite number
+    > ``low`` (>= ``low`` when not ``strict``); with ``integer``, an integer
+    that is not a bool. The bound comes before finiteness, so NaN and -inf fail
+    the bound and +inf fails as not finite."""
+    if integer and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not (value > low if strict else value >= low):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Voxel counts per axis plus the isotropic voxel edge length in micrometers."""
@@ -51,10 +64,7 @@ class GridSpec:
         object.__setattr__(self, "voxel_size", float(self.voxel_size))
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValueError(f"grid dims must be three voxel counts >= 1, got {self.dims}")
-        if not self.voxel_size > 0:
-            raise ValueError(f"voxel_size must be > 0, got {self.voxel_size}")
-        if self.voxel_size == math.inf:
-            raise ValueError(f"voxel_size must be finite, got {self.voxel_size}")
+        _check_number("voxel_size", self.voxel_size)
 
     @property
     def voxel_count(self) -> int:
@@ -132,8 +142,9 @@ class LabelVolume(_Samples):
 def write_files(payloads: dict[str | Path, bytes], name: str | Path) -> list[Path]:
     """Write ``{path: bytes}`` payloads, each to a temporary sibling, then move
     them all into place with ``os.replace``; returns the paths written. The
-    temporaries are always removed. A failure raises ``OSError`` ``failed to
-    write '<name>'``, whose ``written`` lists the files already moved into place."""
+    temporaries are always removed. A failed write raises ``OSError`` ``failed
+    to write '<name>'``; that error, or any other exception raised meanwhile (an
+    interrupt), carries ``written``: the files already moved into place."""
     payloads = {Path(path): payload for path, payload in payloads.items()}
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in payloads}
     written = []
@@ -147,6 +158,9 @@ def write_files(payloads: dict[str | Path, bytes], name: str | Path) -> list[Pat
         error = OSError(f"failed to write '{name}': {exc}")
         error.written = written
         raise error from exc
+    except BaseException as exc:
+        exc.written = written
+        raise
     finally:
         for tmp in temps.values():
             tmp.unlink(missing_ok=True)

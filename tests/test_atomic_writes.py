@@ -1,9 +1,11 @@
 """Every writer moves whole files into place: a failed write keeps the
 previous files byte-equal and leaves no temporary file behind, and a failed
-command-line stage removes the files it wrote and never one it failed to
-replace."""
+or interrupted command-line stage removes the files it wrote and never one it
+failed to replace."""
 
+import json
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from fibervox.fibers import Fiber, write_fibers_csv
 from fibervox.mesh import write_stl
 from fibervox.vesselness import OrientationField, write_orientation_field
 from fibervox.volume import GridSpec, LabelVolume, Volume, write_files, write_volume
-from test_cli import run_cli
+from test_cli import TINY, run_cli
 
 GRID = GridSpec((6, 6, 6), 1.0)
 
@@ -149,3 +151,45 @@ def test_segment_orientation_into_missing_dir_removes_all_segment_outputs(tmp_pa
     assert err.startswith("error stage=segment: failed to write")
     assert list(out_dir.iterdir()) == []
 
+
+@pytest.mark.parametrize("replace_call", [3, 4], ids=["before-atten", "between-atten-files"])
+@pytest.mark.parametrize("interrupt", ["ctrl-c", "sigterm"])
+def test_interrupted_stage_leaves_no_output(tmp_path, monkeypatch, interrupt, replace_call):
+    # rasterize moves gt.json, gt.raw, atten.json and atten.raw into place, in
+    # that order; the interrupt comes instead of the given move
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    (tmp_path / "fibers.csv").write_text("id,x0,y0,z0,x1,y1,z1,radius_um\n"
+                                         "3,20,20,20,40,20,20,6.5\n")
+    out_dir = tmp_path / "out"
+    real_replace, calls = os.replace, []
+
+    def interrupted_replace(src, dst):
+        calls.append(dst)
+        if len(calls) < replace_call:
+            return real_replace(src, dst)
+        if interrupt == "ctrl-c":
+            raise KeyboardInterrupt
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    def sigterm_escaped(signum, frame):
+        pytest.fail("SIGTERM reached the handler outside the stage")
+
+    # without the stage's own handler, a SIGTERM fails this test, not the run
+    previous = signal.signal(signal.SIGTERM, sigterm_escaped)
+    monkeypatch.setattr(os, "replace", interrupted_replace)
+    try:
+        code, out, err = run_cli("rasterize", "--config", str(cfg), "--fibers",
+                                 str(tmp_path / "fibers.csv"), "--out-dir", str(out_dir))
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped the stage")
+    finally:
+        monkeypatch.undo()
+        handler = signal.signal(signal.SIGTERM, previous)
+    assert handler is sigterm_escaped
+    assert len(calls) == replace_call
+    assert code == 1 and out == ""
+    assert err.strip() == ("error stage=rasterize: "
+                           + ("KeyboardInterrupt" if interrupt == "ctrl-c"
+                              else "interrupted by SIGTERM"))
+    assert list(out_dir.iterdir()) == []

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from fibervox.annotate import PolylineAnnotation, read_annotations
-from fibervox.ctsim import DegradeParams
-from fibervox.fibers import ModelParams, read_fibers_csv
+from fibervox.ctsim import DegradeParams, radon_slice, rasterize_attenuation, simulate_fbp
+from fibervox.fibers import Fiber, FiberModel, ModelParams, read_fibers_csv
+from fibervox.mesh import export_stl
 from fibervox.metrics import _pair_count_sum
 from fibervox.vesselness import (ScaleSet, VesselnessParams, binarize, check_orientation,
-                                 frangi_multiscale,
+                                 frangi_multiscale, gaussian_kernel,
                                  read_orientation_field, structure_tensor_orientation,
                                  write_orientation_field)
 from fibervox.volume import GridSpec, LabelVolume, Volume, read_volume, write_volume
@@ -68,6 +69,10 @@ def test_truncated_validity_mask_names_the_file(tmp_path):
      "annotation id must be an integer, got '2'"),
     ({"id": 1, "points": [[0, 0, 0], [1, None, 0]]},
      "annotation 1 point 1 coordinate must be an integer, got None"),
+    ({"id": True, "points": [[0, 0, 0], [1, 0, 0]]},
+     "annotation id must be an integer, got True"),
+    ({"id": 1, "points": [[0, 0, 0], [1, np.True_, 0]]},
+     "annotation 1 point 1 coordinate must be an integer, got np.True_"),
 ])
 def test_annotation_rejects_non_integer_values(chain, message):
     with pytest.raises(ValueError) as err:
@@ -130,7 +135,11 @@ def test_fibers_csv_rejects_duplicate_ids(tmp_path):
     ("0,10,10,10,20,10,10,6.5", "fiber id must be positive, got 0"),
     ("1,10,10,10,20,10,10,0", "fiber radius must be > 0, got 0.0"),
     ("1,10,10,10,10,10,10,6.5", "fiber length must be > 0"),
-], ids=["fractional-id", "text-id", "missing-column", "zero-id", "zero-radius", "zero-length"])
+    ("1,inf,10,10,20,10,10,6.5", "fiber endpoints must be finite"),
+    ("1,10,10,10,20,nan,10,6.5", "fiber endpoints must be finite"),
+    ("1,10,10,10,20,10,10,inf", "fiber radius must be finite, got inf"),
+], ids=["fractional-id", "text-id", "missing-column", "zero-id", "zero-radius", "zero-length",
+        "infinite-endpoint", "nan-endpoint", "infinite-radius"])
 def test_fibers_csv_rejects_bad_rows(tmp_path, row, message):
     path = tmp_path / "fibers.csv"
     path.write_text(CSV_HEADER + "2,10,40,10,20,40,10,6.5\n" + row + "\n")
@@ -358,7 +367,7 @@ def test_negative_seeds_are_rejected():
     (lambda: ModelParams(box_edge=-math.inf), "box_edge must be > 0, got -inf"),
     (lambda: ModelParams(mean_length=math.inf), "mean_length must be finite, got inf"),
     (lambda: ModelParams(length_stddev=math.inf), "length_stddev must be finite, got inf"),
-    (lambda: ModelParams(length_stddev=math.nan), "length_stddev must be finite, got nan"),
+    (lambda: ModelParams(length_stddev=math.nan), "length_stddev must be >= 0, got nan"),
     (lambda: GridSpec((4, 4, 4), math.inf), "voxel_size must be finite, got inf"),
     (lambda: GridSpec((4, 4, 4), -math.inf), "voxel_size must be > 0, got -inf"),
 ], ids=["psf-sigma", "psf-sigma-negative", "box-edge", "box-edge-negative", "mean-length",
@@ -413,6 +422,79 @@ def test_rasterize_cli_checks_levels_before_labeling(tmp_path, monkeypatch):
                              "--set", "raster.fiber_value=1.0", "--out-dir", str(tmp_path))
     assert code == 1 and out == ""
     assert err.strip() == "error stage=rasterize: fiber level must exceed matrix level"
+
+
+def test_rasterize_cli_caps_supersample_before_labeling(tmp_path, monkeypatch):
+    # 41**3 sub-samples would overflow the uint16 counts
+    monkeypatch.setattr("fibervox.cli.rasterize_labels", _filter_must_not_run)
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    path = tmp_path / "fibers.csv"
+    path.write_text(CSV_HEADER + "3,20,20,20,40,20,20,6.5\n")
+    code, out, err = run_cli("rasterize", "--config", str(cfg), "--fibers", str(path),
+                             "--set", "raster.supersample=41", "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.strip() == "error stage=rasterize: supersample must be <= 40, got 41"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fibers.csv", "tiny.json"]
+
+
+@pytest.mark.parametrize("fiber_id", [True, 2.5])
+def test_fiber_rejects_non_integer_id(fiber_id):
+    with pytest.raises(ValueError, match=f"^fiber id must be an integer, got {fiber_id}$"):
+        Fiber(fiber_id, (0.0, 0.0, 0.0), (10.0, 0.0, 0.0), 1.0)
+
+
+_EMPTY_MODEL = FiberModel(ModelParams(box_edge=8.0, radius=1.0), [])
+_EMPTY_VOLUME = Volume(GridSpec((4, 4, 1), 2.0), np.zeros((4, 4, 1)))
+
+# Every numeric setting the library checks with the one rule: the name its
+# messages give, a call that passes it, the bound, whether the bound is strict
+# and whether the setting is an integer.
+NUMERIC_SETTINGS = {
+    "voxel_size": (lambda v: GridSpec((4, 4, 4), v), 0, True, False),
+    "psf_sigma": (lambda v: DegradeParams(psf_sigma=v), 0, False, False),
+    "noise_seed": (lambda v: DegradeParams(noise_seed=v), 0, False, True),
+    "box_edge": (lambda v: ModelParams(box_edge=v), 0, True, False),
+    "radius": (lambda v: ModelParams(radius=v), 0, True, False),
+    "mean_length": (lambda v: ModelParams(mean_length=v), 0, True, False),
+    "length_stddev": (lambda v: ModelParams(length_stddev=v), 0, False, False),
+    "max_attempts": (lambda v: ModelParams(max_attempts=v), 0, False, True),
+    "seed": (lambda v: ModelParams(seed=v), 0, False, True),
+    "fiber radius": (lambda v: Fiber(1, (0.0, 0.0, 0.0), (10.0, 0.0, 0.0), v), 0, True, False),
+    "sigma_g": (lambda v: check_orientation(v, 1.0), 0, True, False),
+    "rho": (lambda v: check_orientation(1.0, v), 0, False, False),
+    "supersample": (lambda v: rasterize_attenuation(_EMPTY_MODEL, GridSpec((4, 4, 4), 2.0), v),
+                    1, False, True),
+    "n_angles (fbp)": (lambda v: simulate_fbp(_EMPTY_VOLUME, v), 1, False, True),
+    "n_angles (radon)": (lambda v: radon_slice(np.zeros((4, 4)), v), 1, False, True),
+    "sigma": (lambda v: gaussian_kernel(v), 0, True, False),
+    "segments_per_circle": (lambda v: export_stl([], v), 3, False, True),
+}
+
+
+def _numeric_cases():
+    for site, (call, low, strict, integer) in NUMERIC_SETTINGS.items():
+        name = site.split(" (")[0]
+        bound = f"{name} must be {'>' if strict else '>='} {low}, got"
+        past = low - 1 if integer else float(low) if strict else low - 1e-9
+        values = {"nan": math.nan, "-inf": -math.inf, "inf": math.inf, "past": past}
+        if integer:
+            values.update(true=True, fraction=2.5)
+        for label, value in values.items():
+            if integer and label != "past":
+                message = f"{name} must be an integer, got {value!r}"
+            elif label == "inf":
+                message = f"{name} must be finite, got inf"
+            else:
+                message = f"{bound} {value}"
+            yield pytest.param(call, value, message, id=f"{site}-{label}")
+
+
+@pytest.mark.parametrize("call, value, message", _numeric_cases())
+def test_numeric_settings_follow_one_rule(call, value, message):
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == message
 
 
 def test_nan_psf_sigma_is_rejected(tmp_path, monkeypatch):
