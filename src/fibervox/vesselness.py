@@ -10,16 +10,16 @@ sampled-Gaussian derivatives from one separable routine, :func:`_derivatives`:
 
 Memory and threads: the per-voxel steps (sigma^2 scaling, eigensolves,
 magnitude sort, response) run over slabs of about 128 x 128 x 2 voxels, whose
-256 KB float64 temporaries stay near a core's L2, on every CPU the process may
-use (:func:`_each_slab`); the Gaussian passes stay on the calling thread,
-because scipy's ``correlate1d`` holds the GIL. A kernel holds its six
-full-volume float64 components and its outputs plus a few slab temporaries
-per thread; the structure tensor's closed-form axis and its eigh fallback
-need no (..., 3, 3) stack beyond the fallback voxels. Peak RSS of one
-standalone call on 2 CPUs (three Frangi scales; the structure tensor at
-sigma_g 1, rho 2): Frangi 206 MB at 128^3 and 0.99 GB at 241^3, the structure
-tensor 239 MB and 1.07 GB. At 128^3, 13 and 6 MB of that is the second
-thread's malloc arena, which keeps freed slab temporaries (193 and 233 MB
+256 KB float64 temporaries stay near a core's L2, on one worker thread per CPU
+the process may use (:func:`_each_slab`); the Gaussian passes stay on the
+calling thread, because scipy's ``correlate1d`` holds the GIL. A kernel holds
+its six full-volume float64 components and its outputs plus a few slab
+temporaries per worker; the structure tensor's closed-form axis and its eigh
+fallback need no (..., 3, 3) stack beyond the fallback voxels. Peak RSS of
+one standalone call on 2 CPUs (three Frangi scales; the structure tensor at
+sigma_g 1, rho 2): Frangi 213-220 MB at 128^3 and 1.00 GB at 241^3, the
+structure tensor 245 MB and 1.07 GB. At 128^3, 19-26 and 12 MB of that is the
+two workers' malloc arenas, which keep freed slab temporaries (194 and 234 MB
 with one arena); deeper slabs keep more.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,9 +162,11 @@ def _cpu_count() -> int:
 
 
 def _each_slab(fn, dims: tuple[int, int, int]) -> list:
-    """``[fn(sl) for sl in _slabs(dims)]``, with the slabs shared out among the
-    calling thread and one more thread per further CPU. All are joined before
-    this returns, and the first exception any of them raised is raised here.
+    """``[fn(sl) for sl in _slabs(dims)]``, with the slabs shared out among one
+    worker thread per CPU (:class:`~concurrent.futures.ThreadPoolExecutor`)
+    while the calling thread waits. The results come in slab order; the first
+    exception in slab order is raised here, the slabs not yet started are
+    dropped, and every worker is joined before this returns.
 
     numpy's ufuncs release the GIL, so slabs overlap; scipy's ``correlate1d``
     does not (two passes on two threads take as long as one after the other),
@@ -174,32 +176,8 @@ def _each_slab(fn, dims: tuple[int, int, int]) -> list:
     itself, since that state is per thread.
     """
     slabs = _slabs(dims)
-    results = [None] * len(slabs)
-    todo = iter(enumerate(slabs))
-    lock = threading.Lock()
-    errors = []
-
-    def work():
-        try:
-            while not errors:
-                with lock:
-                    i, sl = next(todo, (None, None))
-                if sl is None:
-                    return
-                results[i] = fn(sl)
-        except BaseException as exc:  # re-raised by the caller below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work)
-               for _ in range(min(_cpu_count(), len(slabs)) - 1)]
-    for t in threads:
-        t.start()
-    work()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return results
+    with ThreadPoolExecutor(min(_cpu_count(), len(slabs))) as pool:
+        return list(pool.map(fn, slabs))
 
 
 def _eig3_symmetric(a11, a22, a33, a12, a13, a23):

@@ -59,11 +59,12 @@ class GridSpec:
     voxel_size: float
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
+        if len(self.dims) != 3:
+            raise ValueError(f"grid dims must be three voxel counts, got {self.dims}")
+        for d in self.dims:
+            _check_number("grid dim", d, low=1, strict=False, integer=True)
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
         object.__setattr__(self, "voxel_size", float(self.voxel_size))
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ValueError(f"grid dims must be three voxel counts >= 1, got {self.dims}")
         _check_number("voxel_size", self.voxel_size)
 
     @property
@@ -217,9 +218,8 @@ def read_volume(path_stem: str | Path) -> Volume | LabelVolume:
         raise ValueError(f"bad volume sidecar '{json_path}': unknown dtype {tag!r}")
     dims, voxel_size = meta["dims"], meta["voxel_size_um"]
     try:
-        # GridSpec would truncate 2.5 to 2 and read true as 1.
-        if not (isinstance(dims, list) and all(type(d) is int for d in dims)):
-            raise ValueError(f"dims must be a list of integers, got {dims!r}")
+        if not isinstance(dims, list):
+            raise ValueError(f"dims must be a list, got {dims!r}")
         if type(voxel_size) not in (int, float):
             raise ValueError(f"voxel_size_um must be a number, got {voxel_size!r}")
         grid = GridSpec(tuple(dims), voxel_size)

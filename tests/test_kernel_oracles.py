@@ -1,10 +1,11 @@
-"""Bit-for-bit oracles for five volume kernels. Each reference below is the
+"""Bit-for-bit oracles for six volume kernels. Each reference below is the
 plain formula the kernel implements: the backprojection with explicit
 validity masks, the Frangi response with explicit magnitudes and a final
 clip, the Hessian eigenvalues from 18 independent convolution passes, one
 full-volume eigensolve and a lexsort, the structure tensor filled entry by
-entry, and the attenuation mapping that sets untouched voxels to the matrix
-level by hand. The segment kernels run over slabs of whole y-z planes; their
+entry, and for both rasterizers a brute force that tests every sub-lattice
+point of every voxel against every fiber, with no bounding box and no
+core/shell shortcut. The segment kernels run over slabs of whole y-z planes; their
 cases shrink the slab so that grids of a few voxels span several slabs."""
 
 import itertools
@@ -15,8 +16,8 @@ import pytest
 from scipy import ndimage
 
 from fibervox import vesselness
-from fibervox.ctsim import (Sinogram, _axis_centers, _capsules, _ramlak_filter, _ramlak_ramp,
-                            fbp_slice, rasterize_attenuation)
+from fibervox.ctsim import (Sinogram, _ramlak_filter, _ramlak_ramp, fbp_slice,
+                            rasterize_attenuation, rasterize_labels)
 from fibervox.fibers import Fiber, FiberModel, ModelParams, hemisphere
 from fibervox.vesselness import (EigenField, ScaleSet, VesselnessParams, _divide_nonzero,
                                  _eig3_symmetric, _sort_by_magnitude,
@@ -286,49 +287,80 @@ def test_structure_tensor_over_several_slabs_matches_entrywise_tensor(sigma_g, r
         assert_bits_equal(field.axes, orientation_reference(v, sigma_g, rho))
 
 
-# ------------------------------------------------------------ attenuation
+# ------------------------------------------------------------ rasterization
 
 
-def attenuation_reference(m, grid, supersample, levels):
-    fiber_value, matrix_value = levels
-    h = grid.voxel_size
-    s3 = supersample**3
-    counts = np.zeros(grid.dims, dtype=np.uint16)
-    centers = _axis_centers(grid)
-    sub = ((np.arange(supersample, dtype=np.float64) + 0.5) / supersample - 0.5) * h
-    offsets = np.stack(np.meshgrid(sub, sub, sub, indexing="ij"), axis=-1).reshape(-1, 3)
-    half_diag = 0.5 * h * math.sqrt(3.0)
-    for fiber, box, d2, dist_sq in _capsules(m.fibers, grid):
-        dist = np.sqrt(d2)
-        region = counts[box]
-        region[dist <= fiber.radius - half_diag] = s3
-        shell = (dist > fiber.radius - half_diag) & (dist < fiber.radius + half_diag)
-        if shell.any():
-            si, sj, sk = np.nonzero(shell)
-            pts = np.stack([c[s][i] for c, s, i in zip(centers, box, (si, sj, sk))], axis=-1)
-            sub_pts = pts[None, :, :] + offsets[:, None, :]
-            d2s = dist_sq(sub_pts[..., 0], sub_pts[..., 1], sub_pts[..., 2])
-            inside = (d2s <= fiber.radius**2).sum(axis=0).astype(np.uint16)
-            region[si, sj, sk] = np.minimum(
-                region[si, sj, sk].astype(np.int64) + inside, s3).astype(np.uint16)
-    frac = counts.astype(np.float64) / s3
-    out = matrix_value + (fiber_value - matrix_value) * frac
-    out[counts == 0] = matrix_value
-    out[counts >= s3] = fiber_value
-    return out.astype(np.float32), counts
+def brute_force_coverage(fibers, grid, supersample):
+    """Per fiber, the number of sub-lattice points of each voxel within its
+    radius of the fiber's axis segment, (n_fibers, nx, ny, nz). Every point of
+    every voxel is tested: point i of axis x lies at (x + 0.5) h + ((i + 0.5) /
+    s - 0.5) h, and its squared distance to the segment p0 + t (p1 - p0) is
+    |r - t a|^2 with r = point - p0, a = p1 - p0 and t = r.a / a.a clipped to
+    [0, 1]."""
+    h, s = grid.voxel_size, supersample
+    offsets = ((np.arange(s) + 0.5) / s - 0.5) * h
+    # (n, s) sub-point coordinates per axis, shaped to broadcast to
+    # (nx, s, ny, s, nz, s).
+    px, py, pz = (((np.arange(n) + 0.5) * h)[:, None] + offsets[None, :] for n in grid.dims)
+    px, py, pz = px[:, :, None, None, None, None], py[:, :, None, None], pz
+    coverage = []
+    for f in fibers:
+        ax, ay, az = (f.p1 - f.p0).tolist()
+        rx, ry, rz = px - f.p0[0], py - f.p0[1], pz - f.p0[2]
+        t = np.clip((rx * ax + ry * ay + rz * az) * (1.0 / (ax * ax + ay * ay + az * az)),
+                    0.0, 1.0)
+        dx, dy, dz = rx - t * ax, ry - t * ay, rz - t * az
+        inside = dx * dx + dy * dy + dz * dz <= f.radius**2
+        coverage.append(inside.sum(axis=(1, 3, 5)))
+    return np.stack(coverage)
 
 
-@pytest.mark.parametrize("supersample", [1, 2, 3])
+def overlapping_fibers(seed, n=8):
+    """``n`` fibers with shuffled ids and endpoints in [-2, 42] um, so that
+    they cross each other and stick out of a 40 um grid."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(n) + 1
+    return [Fiber(int(i), rng.uniform(-2.0, 42.0, 3), rng.uniform(-2.0, 42.0, 3),
+                  float(rng.uniform(1.0, 4.0))) for i in ids]
+
+
+_OVERLAP_PARAMS = ModelParams(box_edge=40.0, radius=3.0, mean_length=20.0, length_stddev=0.0,
+                              target_fraction=0.5, max_attempts=1, seed=0)
+_OVERLAP_GRID = GridSpec((16, 16, 16), 2.5)
+
+
+@pytest.mark.parametrize("supersample", [1, 2, 3, 4])
 def test_rasterize_attenuation_matches_reference(supersample):
-    rng = np.random.default_rng(supersample)
-    params = ModelParams(box_edge=40.0, radius=3.0, mean_length=20.0, length_stddev=0.0,
-                         target_fraction=0.5, max_attempts=1, seed=0)
-    fibers = [Fiber(i + 1, rng.uniform(4.0, 36.0, 3), rng.uniform(4.0, 36.0, 3),
-                    float(rng.uniform(1.0, 3.0))) for i in range(4)]
-    grid = GridSpec((16, 16, 16), 2.5)
-    for levels in ((2.54, 1.31), (1.0 + 2**-40, 1.0), (7.3, -0.1), (0.3, 0.1)):
-        model = FiberModel(params=params, fibers=fibers)
-        expected, counts = attenuation_reference(model, grid, supersample, levels)
-        assert np.count_nonzero(counts == 0) > 0 and np.count_nonzero(counts) > 0
-        got = rasterize_attenuation(model, grid, supersample=supersample, levels=levels)
-        assert_bits_equal(got.data, expected)
+    s3 = supersample**3
+    for seed in range(3):
+        fibers = overlapping_fibers(seed)
+        covered = brute_force_coverage(fibers, _OVERLAP_GRID, supersample).sum(axis=0)
+        # Overlaps past s^3, untouched voxels and, with more than one
+        # sub-point, partly covered ones all occur.
+        assert (covered > s3).any() and (covered == 0).any()
+        assert supersample == 1 or ((0 < covered) & (covered < s3)).any()
+        counts = np.minimum(covered, s3)
+        model = FiberModel(params=_OVERLAP_PARAMS, fibers=fibers)
+        for fiber_value, matrix_value in ((2.54, 1.31), (1.0 + 2**-40, 1.0), (7.3, -0.1),
+                                          (0.3, 0.1)):
+            expected = matrix_value + (fiber_value - matrix_value) * (counts / s3)
+            expected[counts == s3] = fiber_value
+            got = rasterize_attenuation(model, _OVERLAP_GRID, supersample=supersample,
+                                        levels=(fiber_value, matrix_value))
+            assert_bits_equal(got.data, expected.astype(np.float32))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rasterize_labels_matches_brute_force(seed):
+    fibers = overlapping_fibers(seed)
+    inside = brute_force_coverage(fibers, _OVERLAP_GRID, 1) > 0
+    ids = np.array([f.id for f in fibers], dtype=np.uint32)[:, None, None, None]
+    # The lowest covering id wins; each further covering fiber is a conflict.
+    expected = np.where(inside, ids, np.iinfo(np.uint32).max).min(axis=0)
+    expected[~inside.any(axis=0)] = 0
+    n_covering = inside.sum(axis=0)
+    assert n_covering.max() > 1
+    labels, conflicts = rasterize_labels(FiberModel(params=_OVERLAP_PARAMS, fibers=fibers),
+                                         _OVERLAP_GRID)
+    assert_bits_equal(labels.data, expected)
+    assert conflicts == int(np.maximum(n_covering - 1, 0).sum())

@@ -452,6 +452,7 @@ _EMPTY_VOLUME = Volume(GridSpec((4, 4, 1), 2.0), np.zeros((4, 4, 1)))
 # and whether the setting is an integer.
 NUMERIC_SETTINGS = {
     "voxel_size": (lambda v: GridSpec((4, 4, 4), v), 0, True, False),
+    "grid dim": (lambda v: GridSpec((4, v, 4), 1.0), 1, False, True),
     "psf_sigma": (lambda v: DegradeParams(psf_sigma=v), 0, False, False),
     "noise_seed": (lambda v: DegradeParams(noise_seed=v), 0, False, True),
     "box_edge": (lambda v: ModelParams(box_edge=v), 0, True, False),

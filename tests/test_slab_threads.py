@@ -1,17 +1,20 @@
 """The segment kernels' per-voxel steps run over slabs on several threads
 (``vesselness._each_slab``). The results must not depend on the thread count
-or the slab size, an error in any slab must reach the caller, and no thread
-may outlive the call. The thread count follows ``vesselness._cpu_count``,
-which the tests replace."""
+or the slab size, an error or an interrupt in any slab must reach the caller,
+and no thread may outlive the call. The thread count follows
+``vesselness._cpu_count``, which the tests replace."""
 
+import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from fibervox import vesselness
+from fibervox import cli, vesselness
 from fibervox.vesselness import (ScaleSet, VesselnessParams, frangi_multiscale,
                                  hessian_at_scale, structure_tensor_orientation)
 from fibervox.volume import GridSpec, Volume
@@ -114,4 +117,42 @@ def test_error_in_one_slab_reaches_the_caller(volume, kernel, monkeypatch):
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="slab failed"):
         kernel(volume)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("interrupt", ["ctrl-c", "sigterm"])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_interrupt_in_one_slab_reaches_the_caller(volume, cpus, interrupt, monkeypatch):
+    # The CLI turns Ctrl-C and SIGTERM into KeyboardInterrupt and cleans up
+    # after it, so an interrupt raised while segment's slabs run must reach
+    # the kernel's caller, stop the slabs not yet started and leave no worker
+    # running. A SIGTERM sent from a worker runs the CLI's handler on the
+    # calling thread.
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(vesselness, "_SLAB_VOXELS", 64 * 64)
+    eig3 = vesselness._eig3_symmetric
+    calls = []
+    lock = threading.Lock()
+
+    def interrupted_eig3(*components):
+        with lock:
+            calls.append(None)
+            fifth = len(calls) == 5
+        if fifth and interrupt == "ctrl-c":
+            raise KeyboardInterrupt("slab interrupted")
+        if fifth:
+            os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(0.01)  # leaves the interrupt time to stop the later slabs
+        return eig3(*components)
+
+    monkeypatch.setattr(vesselness, "_eig3_symmetric", interrupted_eig3)
+    baseline = threading.active_count()
+    previous = signal.signal(signal.SIGTERM, cli._interrupt)
+    try:
+        with pytest.raises(KeyboardInterrupt, match="slab interrupted" if interrupt == "ctrl-c"
+                           else "interrupted by SIGTERM"):
+            hessian_at_scale(volume, 1.5)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert 5 <= len(calls) < len(vesselness._slabs(DIMS)) == 20
     assert threading.active_count() == baseline

@@ -36,6 +36,12 @@ def test_gridspec_rejects_bad_params(dims, h):
         GridSpec(dims, h)
 
 
+def test_gridspec_takes_numpy_integer_dims():
+    g = GridSpec((np.int64(2), np.uint16(3), 4), 1.0)
+    assert g.dims == (2, 3, 4)
+    assert all(type(d) is int for d in g.dims)
+
+
 def test_volume_casts_to_float32_and_requires_finite():
     g = GridSpec((2, 2, 2), 1.0)
     v = Volume(g, np.arange(8, dtype=np.float64).reshape(2, 2, 2))
