@@ -31,7 +31,8 @@ from .mesh import write_stl
 from .metrics import evaluate
 from .vesselness import (binarize, check_binarize, check_orientation, connected_components,
                          frangi_multiscale, structure_tensor_orientation, write_orientation_field)
-from .volume import FORMAT_VERSION, LabelVolume, Volume, read_volume, write_files, write_volume
+from .volume import (FORMAT_VERSION, LabelVolume, Volume, _check_number, read_volume, write_files,
+                     write_volume)
 
 
 class _Outputs:
@@ -71,6 +72,8 @@ def _summary(**fields) -> None:
 
 
 def _cmd_generate(args, cfg: PipelineConfig, out: _Outputs) -> None:
+    # write_stl checks this too, but only after the packing.
+    _check_number("segments_per_circle", args.stl_sides, low=3, strict=False, integer=True)
     model = generate_model(cfg.model_params())
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

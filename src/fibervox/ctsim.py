@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,23 +46,6 @@ class DegradeParams:
         if not self.snr > 0:
             raise ValueError(f"snr must be > 0 (or infinite), got {self.snr}")
         _check_number("noise_seed", self.noise_seed, strict=False, integer=True)
-
-
-def _check_grid_covers(grid: GridSpec, box_edge: float) -> None:
-    tol = 1e-9 * box_edge
-    if any(e + tol < box_edge for e in grid.extent):
-        raise ValueError(
-            f"grid extent {grid.extent} um does not cover the model box edge {box_edge} um")
-
-
-def _axis_centers(grid: GridSpec):
-    h = grid.voxel_size
-    nx, ny, nz = grid.dims
-    return (
-        (np.arange(nx, dtype=np.float64) + 0.5) * h,
-        (np.arange(ny, dtype=np.float64) + 0.5) * h,
-        (np.arange(nz, dtype=np.float64) + 0.5) * h,
-    )
 
 
 def _segment_point_dist_sq(p0, axis, inv_len_sq, px, py, pz):
@@ -100,22 +82,58 @@ def fibers_outside(fibers, grid: GridSpec) -> int:
     return int(np.count_nonzero((first > last).any(axis=1)))
 
 
-def _capsules(fibers, grid: GridSpec):
-    """Yield ``(fiber, box, d2, dist_sq)`` for each fiber whose capsule meets
-    the grid: the index slices of the capsule's bounding box, the squared
-    distance of each box voxel center to the fiber axis, and
-    ``dist_sq(px, py, pz)`` giving that distance for any broadcastable point
-    coordinates."""
+# Sub-samples per chunk of a fiber's near voxels: it bounds the sub-sample
+# temporaries, a few float64 arrays of this length, at any supersample.
+_SUBSAMPLES = 1 << 18
+
+
+def _rasterize(m: FiberModel, grid: GridSpec, supersample: int):
+    """``(labels, conflicts, counts)`` from one walk over the fibers in id
+    order: the labels and conflicts of :func:`rasterize_labels`, and per voxel
+    the number of its supersample^3 sub-lattice points inside any capsule,
+    capped at supersample^3 (uint16). A fiber sub-samples only the voxels
+    whose center lies within r + half a voxel diagonal of its axis; no
+    sub-lattice point of any other voxel lies within r of it."""
+    box_edge = m.params.box_edge
+    if any(e + 1e-9 * box_edge < box_edge for e in grid.extent):
+        raise ValueError(
+            f"grid extent {grid.extent} um does not cover the model box edge {box_edge} um")
+    h = grid.voxel_size
+    s3 = supersample**3
+    labels = LabelVolume.zeros(grid)
+    counts = np.zeros(grid.dims, dtype=np.uint16)
+    conflicts = 0
+    # Sub-lattice offsets within a voxel along x, y and z, each (s3, 1).
+    sub = ((np.arange(supersample, dtype=np.float64) + 0.5) / supersample - 0.5) * h
+    offsets = [o.reshape(-1, 1) for o in np.meshgrid(sub, sub, sub, indexing="ij")]
+    chunk = max(1, _SUBSAMPLES // s3)
+    half_diag = 0.5 * h * math.sqrt(3.0)
+    fibers = sorted(m.fibers, key=lambda f: f.id)
     first, last = _capsule_boxes(fibers, grid)
-    centers = _axis_centers(grid)
     for fiber, lo, hi in zip(fibers, first.tolist(), last.tolist()):
         if any(a > b for a, b in zip(lo, hi)):
             continue
         box = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
-        axis = fiber.p1 - fiber.p0
-        dist_sq = partial(_segment_point_dist_sq, fiber.p0, axis, 1.0 / float(axis @ axis))
-        cx, cy, cz = (c[s] for c, s in zip(centers, box))
-        yield fiber, box, dist_sq(cx[:, None, None], cy[None, :, None], cz[None, None, :]), dist_sq
+        p0, axis = fiber.p0, fiber.p1 - fiber.p0
+        inv_len_sq = 1.0 / float(axis @ axis)
+        cx, cy, cz = ((np.arange(a, b + 1, dtype=np.float64) + 0.5) * h for a, b in zip(lo, hi))
+        d2 = _segment_point_dist_sq(p0, axis, inv_len_sq,
+                                    cx[:, None, None], cy[None, :, None], cz[None, None, :])
+        inside = d2 <= fiber.radius**2
+        region = labels.data[box]
+        taken = region != 0
+        conflicts += int(np.count_nonzero(inside & taken))
+        region[inside & ~taken] = fiber.id
+        box_counts = counts[box]
+        # Flat indices first: a 3-d nonzero costs several times as much.
+        near = np.unravel_index(np.flatnonzero(d2 < (fiber.radius + half_diag)**2), d2.shape)
+        for c0 in range(0, len(near[0]), chunk):
+            idx = tuple(i[c0:c0 + chunk] for i in near)
+            px, py, pz = (c[i] + o for c, i, o in zip((cx, cy, cz), idx, offsets))
+            n_in = (_segment_point_dist_sq(p0, axis, inv_len_sq, px, py, pz)
+                    <= fiber.radius**2).sum(axis=0)
+            box_counts[idx] = np.minimum(box_counts[idx] + n_in, s3)
+    return labels, conflicts, counts
 
 
 def rasterize_labels(m: FiberModel, grid: GridSpec) -> tuple[LabelVolume, int]:
@@ -123,16 +141,7 @@ def rasterize_labels(m: FiberModel, grid: GridSpec) -> tuple[LabelVolume, int]:
     within the fiber's capsule. Lower IDs win contested voxels; the conflict
     count is returned as a diagnostic (0 for a valid non-overlapping model).
     """
-    _check_grid_covers(grid, m.params.box_edge)
-    labels = LabelVolume.zeros(grid)
-    conflicts = 0
-    for fiber, box, d2, _ in _capsules(sorted(m.fibers, key=lambda f: f.id), grid):
-        inside = d2 <= fiber.radius**2
-        region = labels.data[box]
-        taken = region != 0
-        conflicts += int(np.count_nonzero(inside & taken))
-        region[inside & ~taken] = fiber.id
-    return labels, conflicts
+    return _rasterize(m, grid, 1)[:2]
 
 
 def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
@@ -142,11 +151,9 @@ def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
     Voxel value = matrix + (fiber - matrix) * occupancy, with occupancy the
     fraction of a supersample^3 sub-lattice inside any fiber capsule. Fully
     covered voxels are exactly fiber_value; untouched voxels exactly
-    matrix_value. Only voxels whose center distance to the capsule is within
-    half a voxel diagonal of the radius are sub-sampled; others are decided
-    wholesale, which is exact for this sub-lattice. ``supersample`` is an
-    integer from 1 to 40 (the sub-sample counts are uint16), and the fiber
-    level (first) must exceed the matrix level.
+    matrix_value. ``supersample`` is an integer from 1 to 40 (the sub-sample
+    counts are uint16), and the fiber level (first) must exceed the matrix
+    level.
     """
     _check_number("supersample", supersample, low=1, strict=False, integer=True)
     if supersample > 40:  # 40**3 sub-samples still fit the uint16 counts
@@ -154,29 +161,8 @@ def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
     fiber_value, matrix_value = levels
     if not fiber_value > matrix_value:
         raise ValueError("fiber level must exceed matrix level")
-    _check_grid_covers(grid, m.params.box_edge)
-
-    h = grid.voxel_size
+    counts = _rasterize(m, grid, supersample)[2]
     s3 = supersample**3
-    counts = np.zeros(grid.dims, dtype=np.uint16)
-    centers = _axis_centers(grid)
-    # Sub-lattice offsets within a voxel, per axis.
-    sub = ((np.arange(supersample, dtype=np.float64) + 0.5) / supersample - 0.5) * h
-    offsets = np.stack(np.meshgrid(sub, sub, sub, indexing="ij"), axis=-1).reshape(-1, 3)
-    half_diag = 0.5 * h * math.sqrt(3.0)
-
-    for fiber, box, d2, dist_sq in _capsules(m.fibers, grid):
-        dist = np.sqrt(d2)
-        region = counts[box]
-        region[dist <= fiber.radius - half_diag] = s3
-        shell = (dist > fiber.radius - half_diag) & (dist < fiber.radius + half_diag)
-        si, sj, sk = np.nonzero(shell)
-        pts = np.stack([c[s][i] for c, s, i in zip(centers, box, (si, sj, sk))], axis=-1)
-        sub_pts = pts[None, :, :] + offsets[:, None, :]
-        d2s = dist_sq(sub_pts[..., 0], sub_pts[..., 1], sub_pts[..., 2])
-        inside = (d2s <= fiber.radius**2).sum(axis=0).astype(np.uint16)
-        region[si, sj, sk] = np.minimum(
-            region[si, sj, sk].astype(np.int64) + inside, s3).astype(np.uint16)
 
     # matrix + (fiber - matrix) * counts / s3, in place in one float64 array.
     out = np.divide(counts, s3, dtype=np.float64)

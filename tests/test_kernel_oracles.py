@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from fibervox import vesselness
+from fibervox import ctsim, vesselness
 from fibervox.ctsim import (Sinogram, _ramlak_filter, _ramlak_ramp, fbp_slice,
                             rasterize_attenuation, rasterize_labels)
 from fibervox.fibers import Fiber, FiberModel, ModelParams, hemisphere
@@ -364,3 +364,57 @@ def test_rasterize_labels_matches_brute_force(seed):
                                          _OVERLAP_GRID)
     assert_bits_equal(labels.data, expected)
     assert conflicts == int(np.maximum(n_covering - 1, 0).sum())
+
+
+def assert_attenuation_matches_brute_force(fibers, params, grid, supersample):
+    """Check ``rasterize_attenuation`` against the brute-force coverage at
+    one level pair; returns the capped counts."""
+    s3 = supersample**3
+    counts = np.minimum(brute_force_coverage(fibers, grid, supersample).sum(axis=0), s3)
+    expected = 1.31 + (2.54 - 1.31) * (counts / s3)
+    expected[counts == s3] = 2.54
+    got = rasterize_attenuation(FiberModel(params=params, fibers=fibers), grid,
+                                supersample=supersample, levels=(2.54, 1.31))
+    assert_bits_equal(got.data, expected.astype(np.float32))
+    return counts
+
+
+_SMALL_PARAMS = ModelParams(box_edge=10.0, radius=3.0, mean_length=5.0, length_stddev=0.0,
+                            target_fraction=0.5, max_attempts=1, seed=0)
+_SMALL_FIBERS = {
+    # Along z through the center of a 10 um grid of 2.5 um voxels: the
+    # 2 x 2 x 4 inner voxels lie wholly within r = 4 um.
+    "thick": Fiber(1, (5.0, 5.0, -1.0), (5.0, 5.0, 11.0), 4.0),
+    "thin": Fiber(1, (1.0, 2.0, -1.0), (9.0, 7.5, 11.0), 1.1),
+}
+
+
+@pytest.mark.parametrize("supersample", [5, 17, 40])
+@pytest.mark.parametrize("kind", ["thick", "thin"])
+def test_rasterize_attenuation_matches_brute_force_past_supersample_4(kind, supersample):
+    s3 = supersample**3
+    counts = assert_attenuation_matches_brute_force(
+        [_SMALL_FIBERS[kind]], _SMALL_PARAMS, GridSpec((4, 4, 4), 2.5), supersample)
+    assert ((0 < counts) & (counts < s3)).any()
+    assert np.count_nonzero(counts == s3) == (16 if kind == "thick" else 0)
+
+
+def test_rasterize_attenuation_matches_brute_force_on_a_non_cubic_grid():
+    params = ModelParams(box_edge=20.0, radius=3.0, mean_length=10.0, length_stddev=0.0,
+                         target_fraction=0.5, max_attempts=1, seed=0)
+    for seed in range(3):
+        assert_attenuation_matches_brute_force(overlapping_fibers(seed), params,
+                                               GridSpec((12, 9, 7), 3.1), 3)
+
+
+def test_rasterize_in_small_chunks_gives_the_same_volumes(monkeypatch):
+    fibers = overlapping_fibers(0)
+    model = FiberModel(params=_OVERLAP_PARAMS, fibers=fibers)
+    atten = rasterize_attenuation(model, _OVERLAP_GRID).data
+    labels = rasterize_labels(model, _OVERLAP_GRID)[0].data
+    # Every fiber touches more voxels than the 2-voxel chunks of 27 sub-samples hold.
+    assert (brute_force_coverage(fibers, _OVERLAP_GRID, 3) > 0).sum(axis=(1, 2, 3)).min() > 2
+    for subsamples in (64, 1):
+        monkeypatch.setattr(ctsim, "_SUBSAMPLES", subsamples)
+        assert_bits_equal(rasterize_attenuation(model, _OVERLAP_GRID).data, atten)
+        assert_bits_equal(rasterize_labels(model, _OVERLAP_GRID)[0].data, labels)

@@ -397,6 +397,14 @@ def test_generate_cli_rejects_negative_seed(tmp_path):
     assert not (tmp_path / "gen").exists()
 
 
+def test_generate_cli_checks_stl_sides_before_packing(tmp_path, monkeypatch):
+    monkeypatch.setattr("fibervox.cli.generate_model", _filter_must_not_run)
+    code, out, err = run_cli("generate", "--stl-sides", "2", "--out-dir", str(tmp_path / "gen"))
+    assert code == 1 and out == ""
+    assert err.strip() == "error stage=generate: segments_per_circle must be >= 3, got 2"
+    assert not (tmp_path / "gen").exists()
+
+
 @pytest.mark.parametrize("fiber_value", ["1.0", "1.31"], ids=["below", "equal"])
 def test_rasterize_cli_rejects_fiber_level_not_above_matrix(tmp_path, fiber_value):
     cfg = tmp_path / "tiny.json"
