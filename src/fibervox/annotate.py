@@ -1,6 +1,7 @@
 """Polyline fiber annotations to voxel ground truth.
 
-Chains are rendered onto the grid with an integer-only 3D Bresenham walk and
+Chains are rendered onto the grid with an integer-only 3D Bresenham walk (after
+k of n = max|d| moves an axis has moved k|d|/n, rounded with halves down) and
 then expanded by seeded region growing on the gray volume. Growth is
 round-synchronous: every label front advances one 26-connected ring per round,
 and a voxel contested within a round goes to the smallest claiming label id,
@@ -45,6 +46,9 @@ class PolylineAnnotation:
         self.id = _exact_int(self.id, "annotation id")
         if self.id < 1:
             raise ValueError(f"annotation id must be positive, got {self.id}")
+        if not isinstance(self.points, (list, tuple)):
+            raise ValueError(f"annotation {self.id} points must be a list of 3D points, "
+                             f"got {self.points!r}")
         if len(self.points) < 2:
             raise ValueError(f"annotation {self.id} needs at least 2 points")
         cleaned = []
@@ -61,35 +65,31 @@ class PolylineAnnotation:
 
 
 def bresenham3d(p0, p1) -> list[tuple[int, int, int]]:
-    """Integer voxel walk from p0 to p1 inclusive.
+    """Integer voxel walk from p0 to p1 inclusive: n + 1 26-adjacent voxels,
+    n = max(|dx|, |dy|, |dz|). After k moves each axis has moved
+    floor((2k|d| + n - 1) / 2n) toward p1, k|d|/n rounded with halves down:
+    the closed form of Bresenham's per-axis error term against n."""
+    return list(map(tuple, _walk(p0, p1).tolist()))
 
-    Dominant-axis error accumulation; consecutive voxels are 26-adjacent and
-    the list has n + 1 entries, n = max(|dx|, |dy|, |dz|). Each axis keeps its
-    own error term against n, so an axis with |d| = n steps on every move.
-    """
-    p = [int(v) for v in p0]
-    d = [int(q) - c for c, q in zip(p, p1, strict=True)]
-    a = [abs(v) for v in d]
-    n = max(a)
-    err = [2 * ak - n for ak in a]
-    points = [tuple(p)]
-    for _ in range(n):
-        for k in range(3):
-            if err[k] > 0:
-                p[k] += 1 if d[k] > 0 else -1
-                err[k] -= 2 * n
-            err[k] += 2 * a[k]
-        points.append(tuple(p))
-    return points
+
+def _walk(p0, p1) -> np.ndarray:
+    """:func:`bresenham3d` as an (n + 1, 3) int64 array."""
+    start, end = (np.asarray(p, dtype=np.int64) for p in (p0, p1))
+    if start.shape != (3,) or end.shape != (3,):
+        raise ValueError(f"walk endpoints must be 3D points, got {p0!r} and {p1!r}")
+    d = end - start
+    n = int(np.abs(d).max())
+    return start + np.sign(d) * ((2 * np.arange(n + 1)[:, None] * np.abs(d) + n - 1)
+                                 // (2 * max(n, 1)))
 
 
 def render_polylines(annotations: list[PolylineAnnotation],
                      grid: GridSpec) -> tuple[LabelVolume, int]:
-    """Rasterize chains as seed labels.
-
-    Returns the seed volume and the number of conflicts: write attempts on a
-    voxel already holding a different nonzero id (the first id wins).
-    """
+    """Rasterize chains as seed labels; returns the seeds and the number of
+    conflicts: visits of a walk voxel held by another id (the first id wins).
+    One read and one write per chain equal one per visit, as a chain writes
+    only its own id: it never conflicts with itself, and a voxel held by
+    another id stays held and conflicts on every visit."""
     seeds = LabelVolume.zeros(grid)
     conflicts = 0
     for ann in annotations:
@@ -97,13 +97,11 @@ def render_polylines(annotations: list[PolylineAnnotation],
             if not all(0 <= c < n for c, n in zip(p, grid.dims)):
                 raise ValueError(
                     f"annotation {ann.id} point {idx} {p} is outside grid dims {grid.dims}")
-        for q0, q1 in zip(ann.points, ann.points[1:]):
-            for vox in bresenham3d(q0, q1):
-                current = int(seeds.data[vox])
-                if current == 0:
-                    seeds.data[vox] = ann.id
-                elif current != ann.id:
-                    conflicts += 1
+        walk = tuple(np.concatenate([_walk(q0, q1) for q0, q1
+                                     in zip(ann.points, ann.points[1:])]).T)
+        current = seeds.data[walk]
+        conflicts += int(np.count_nonzero((current != 0) & (current != ann.id)))
+        seeds.data[tuple(v[current == 0] for v in walk)] = ann.id
     return seeds, conflicts
 
 

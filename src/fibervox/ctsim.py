@@ -87,26 +87,28 @@ def fibers_outside(fibers, grid: GridSpec) -> int:
 _SUBSAMPLES = 1 << 18
 
 
-def _rasterize(m: FiberModel, grid: GridSpec, supersample: int):
+def _rasterize(m: FiberModel, grid: GridSpec, supersample: int | None = None):
     """``(labels, conflicts, counts)`` from one walk over the fibers in id
     order: the labels and conflicts of :func:`rasterize_labels`, and per voxel
     the number of its supersample^3 sub-lattice points inside any capsule,
-    capped at supersample^3 (uint16). A fiber sub-samples only the voxels
-    whose center lies within r + half a voxel diagonal of its axis; no
-    sub-lattice point of any other voxel lies within r of it."""
+    capped at supersample^3 (uint16; None without a supersample). A fiber
+    sub-samples only the voxels whose center lies within r + half a voxel
+    diagonal of its axis; no sub-lattice point of another voxel lies within r."""
     box_edge = m.params.box_edge
     if any(e + 1e-9 * box_edge < box_edge for e in grid.extent):
         raise ValueError(
             f"grid extent {grid.extent} um does not cover the model box edge {box_edge} um")
     h = grid.voxel_size
-    s3 = supersample**3
     labels = LabelVolume.zeros(grid)
-    counts = np.zeros(grid.dims, dtype=np.uint16)
     conflicts = 0
-    # Sub-lattice offsets within a voxel along x, y and z, each (s3, 1).
-    sub = ((np.arange(supersample, dtype=np.float64) + 0.5) / supersample - 0.5) * h
-    offsets = [o.reshape(-1, 1) for o in np.meshgrid(sub, sub, sub, indexing="ij")]
-    chunk = max(1, _SUBSAMPLES // s3)
+    counts = None
+    if supersample:
+        s3 = supersample**3
+        counts = np.zeros(grid.dims, dtype=np.uint16)
+        # Sub-lattice offsets within a voxel along x, y and z, each (s3, 1).
+        sub = ((np.arange(supersample, dtype=np.float64) + 0.5) / supersample - 0.5) * h
+        offsets = [o.reshape(-1, 1) for o in np.meshgrid(sub, sub, sub, indexing="ij")]
+        chunk = max(1, _SUBSAMPLES // s3)
     half_diag = 0.5 * h * math.sqrt(3.0)
     fibers = sorted(m.fibers, key=lambda f: f.id)
     first, last = _capsule_boxes(fibers, grid)
@@ -124,6 +126,8 @@ def _rasterize(m: FiberModel, grid: GridSpec, supersample: int):
         taken = region != 0
         conflicts += int(np.count_nonzero(inside & taken))
         region[inside & ~taken] = fiber.id
+        if counts is None:
+            continue
         box_counts = counts[box]
         # Flat indices first: a 3-d nonzero costs several times as much.
         near = np.unravel_index(np.flatnonzero(d2 < (fiber.radius + half_diag)**2), d2.shape)
@@ -141,7 +145,7 @@ def rasterize_labels(m: FiberModel, grid: GridSpec) -> tuple[LabelVolume, int]:
     within the fiber's capsule. Lower IDs win contested voxels; the conflict
     count is returned as a diagnostic (0 for a valid non-overlapping model).
     """
-    return _rasterize(m, grid, 1)[:2]
+    return _rasterize(m, grid)[:2]
 
 
 def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,

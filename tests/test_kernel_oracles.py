@@ -10,6 +10,7 @@ cases shrink the slab so that grids of a few voxels span several slabs."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,44 @@ def test_rasterize_attenuation_matches_brute_force_on_a_non_cubic_grid():
     for seed in range(3):
         assert_attenuation_matches_brute_force(overlapping_fibers(seed), params,
                                                GridSpec((12, 9, 7), 3.1), 3)
+
+
+def test_rasterize_without_supersample_makes_labels_only():
+    non_cubic = ModelParams(box_edge=20.0, radius=3.0, mean_length=10.0, length_stddev=0.0,
+                            target_fraction=0.5, max_attempts=1, seed=0)
+    cases = [(overlapping_fibers(seed), params, grid) for seed in range(3)
+             for params, grid in ((_OVERLAP_PARAMS, _OVERLAP_GRID),
+                                  (non_cubic, GridSpec((12, 9, 7), 3.1)))]
+    cases += [([fiber], _SMALL_PARAMS, GridSpec((4, 4, 4), 2.5))
+              for fiber in _SMALL_FIBERS.values()]
+    all_conflicts = []
+    for fibers, params, grid in cases:
+        model = FiberModel(params=params, fibers=fibers)
+        labels, conflicts, counts = ctsim._rasterize(model, grid)
+        assert counts is None
+        with_counts = ctsim._rasterize(model, grid, 1)
+        assert_bits_equal(labels.data, with_counts[0].data)
+        assert conflicts == with_counts[1]
+        all_conflicts.append(conflicts)
+    assert max(all_conflicts) > 0
+
+
+def test_rasterize_labels_allocates_no_count_volume():
+    # One thin fiber in a 64^3 grid: besides the uint32 labels, the walk needs
+    # only its small box, well under half of a uint16 count volume.
+    grid = GridSpec((64, 64, 64), 1.0)
+    params = ModelParams(box_edge=64.0, radius=1.5, mean_length=10.0, length_stddev=0.0,
+                         target_fraction=0.5, max_attempts=1, seed=0)
+    model = FiberModel(params=params, fibers=[Fiber(1, (10.0, 10.0, 10.0),
+                                                    (20.0, 12.0, 14.0), 1.5)])
+    tracemalloc.start()
+    try:
+        labels, _ = rasterize_labels(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(labels.data) > 0
+    assert peak < labels.data.nbytes + 64**3
 
 
 def test_rasterize_in_small_chunks_gives_the_same_volumes(monkeypatch):

@@ -114,6 +114,22 @@ def test_annotate_cli_reports_bad_chain(tmp_path):
     assert not (tmp_path / "anno.raw").exists()
 
 
+@pytest.mark.parametrize("points", [5, None, 2.5])
+def test_annotate_cli_names_chain_whose_points_are_not_a_list(tmp_path, points):
+    grid = GridSpec(dims=(4, 4, 4), voxel_size=1.0)
+    write_volume(Volume(grid=grid, data=np.ones(grid.dims)), tmp_path / "gray")
+    chains = tmp_path / "chains.json"
+    chains.write_text(json.dumps([{"id": 1, "points": [[0, 0, 0], [1, 0, 0]]},
+                                  {"id": 7, "points": points}]))
+    code, out, err = run_cli("annotate", "--gray", str(tmp_path / "gray"),
+                             "--annotations", str(chains),
+                             "--output", str(tmp_path / "anno"))
+    assert code == 1 and out == ""
+    assert err.strip() == ("error stage=annotate: annotation 7 points must be a list "
+                           f"of 3D points, got {points!r}")
+    assert not (tmp_path / "anno.raw").exists()
+
+
 CSV_HEADER = "id,x0,y0,z0,x1,y1,z1,radius_um\n"
 
 
