@@ -24,9 +24,8 @@ from .annotate import annotations_from_fibers, read_annotations, region_grow, re
 from .config import PipelineConfig
 from .ctsim import (degrade, fibers_outside, rasterize_attenuation, rasterize_labels,
                     simulate_fbp, write_sinogram)
-from .fibers import (FiberModel, generate_model, histogram_fields, length_histogram,
-                     model_statistics, orientation_histograms, read_fibers_csv,
-                     stats_document, write_fibers_csv)
+from .fibers import (FiberModel, generate_model, label_statistics, model_statistics,
+                     read_fibers_csv, stats_document, write_fibers_csv)
 from .mesh import write_stl
 from .metrics import evaluate
 from .vesselness import (binarize, check_binarize, check_orientation, connected_components,
@@ -188,46 +187,13 @@ def _cmd_evaluate(args, cfg: PipelineConfig, out: _Outputs) -> None:
     sys.stdout.write(out.write_json(args.output, report.to_dict()))
 
 
-def _label_statistics(vol: LabelVolume) -> dict:
-    """Per-component length and orientation estimates from voxel coordinates:
-    principal axis by eigen-decomposition of the coordinate covariance,
-    length as the occupied extent along that axis."""
-    h = vol.grid.voxel_size
-    xs, ys, zs = np.nonzero(vol.data)
-    ids = vol.data[xs, ys, zs]
-    order = np.argsort(ids, kind="stable")
-    pts_all = np.stack([xs, ys, zs], axis=1).astype(np.float64)[order]
-    ids = ids[order]
-    boundaries = np.flatnonzero(np.diff(ids)) + 1
-    lengths = []
-    axes = []
-    for pts in np.split(pts_all, boundaries) if ids.size else []:
-        centered = pts - pts.mean(axis=0)
-        cov = centered.T @ centered / len(pts)
-        _, vecs = np.linalg.eigh(cov)
-        axis = vecs[:, -1]
-        proj = centered @ axis
-        lengths.append((proj.max() - proj.min() + 1.0) * h)
-        axes.append(axis)
-    lengths_arr = np.asarray(lengths)
-    return {
-        "fiber_count": len(lengths),
-        "min_length_um": float(lengths_arr.min()) if lengths else 0.0,
-        "max_length_um": float(lengths_arr.max()) if lengths else 0.0,
-        "mean_length_um": float(lengths_arr.mean()) if lengths else 0.0,
-        "foreground_fraction": float(np.count_nonzero(vol.data) / vol.grid.voxel_count),
-        "length_hist": length_histogram(lengths),
-        **histogram_fields(*orientation_histograms(np.reshape(axes, (-1, 3)))),
-    }
-
-
 def _cmd_stats(args, cfg: PipelineConfig, out: _Outputs) -> None:
     if args.fibers:
         model = FiberModel(params=cfg.model_params(), fibers=read_fibers_csv(args.fibers))
         payload = model_statistics(model).to_dict()
     else:
         labels = _require(LabelVolume, read_volume(args.labels), args.labels)
-        payload = _label_statistics(labels)
+        payload = label_statistics(labels)
     sys.stdout.write(out.write_json(args.output, payload))
 
 

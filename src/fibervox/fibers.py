@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .volume import _check_number, write_files
+from .volume import LabelVolume, _check_number, write_files
 
 # Glass fiber / epoxy matrix densities in g/cc used for weight-fraction accounting.
 GLASS_DENSITY = 2.54
@@ -131,15 +131,11 @@ class ModelStats:
 
     def to_dict(self) -> dict:
         return {
-            "fiber_count": self.fiber_count,
-            "min_length_um": self.min_length,
-            "max_length_um": self.max_length,
-            "mean_length_um": self.mean_length,
+            **_fiber_entries(self.fiber_count, self.min_length, self.max_length, self.mean_length,
+                             self.length_hist, self.theta_hist, self.phi_hist),
             "total_fiber_volume_um3": self.total_fiber_volume,
             "volume_fraction": self.volume_fraction,
             "weight_fraction": self.weight_fraction,
-            "length_hist": self.length_hist,
-            **histogram_fields(self.theta_hist, self.phi_hist),
         }
 
 
@@ -162,16 +158,6 @@ def orientation_histograms(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     theta_hist, _ = np.histogram(theta, bins=THETA_BINS, range=(0.0, 90.0))
     phi_hist, _ = np.histogram(phi, bins=PHI_BINS, range=(0.0, 360.0))
     return theta_hist.astype(np.int64), phi_hist.astype(np.int64)
-
-
-def histogram_fields(theta_hist, phi_hist) -> dict:
-    """The ``theta_hist`` and ``phi_hist`` entries of a statistics document."""
-    return {
-        "theta_hist": {"bin_deg": 90 / THETA_BINS, "range_deg": [0, 90],
-                       "counts": [int(c) for c in theta_hist]},
-        "phi_hist": {"bin_deg": 360 / PHI_BINS, "range_deg": [0, 360],
-                     "counts": [int(c) for c in phi_hist]},
-    }
 
 
 def length_histogram(lengths) -> dict:
@@ -239,12 +225,6 @@ def segment_distance_sq(p0, p1, q0, q1) -> np.ndarray:
 
     diff = (p0 + s[..., None] * d1) - (q0 + t[..., None] * d2)
     return np.einsum("...i,...i->...", diff, diff)
-
-
-def capsules_overlap(a: Fiber, b: Fiber) -> bool:
-    """True iff the two capsules interpenetrate (distance < sum of radii)."""
-    d2 = segment_distance_sq(a.p0, a.p1, b.p0, b.p1)
-    return bool(d2 < (a.radius + b.radius) ** 2)
 
 
 def _sample_direction(rng: np.random.Generator) -> np.ndarray:
@@ -433,16 +413,8 @@ def audit_model(model: FiberModel) -> dict:
     inside = ((p0 >= lo) & (p0 <= hi) & (p1 >= lo) & (p1 <= hi)).all(axis=1)
     return {
         "overlap_violations": overlaps,
-        "out_of_bounds": int(np.count_nonzero(~inside)) if n else 0,
+        "out_of_bounds": int(np.count_nonzero(~inside)),
     }
-
-
-def canonical_axes(fibers: list[Fiber]) -> np.ndarray:
-    """Unit axis per fiber, canonicalized for unoriented fibers: z >= 0,
-    ties broken by y >= 0, then x >= 0."""
-    p0, p1, _ = _fiber_arrays(fibers)
-    axes = p1 - p0
-    return hemisphere(axes / np.linalg.norm(axes, axis=1, keepdims=True))
 
 
 def weight_fraction(volume_fraction: float,
@@ -483,6 +455,54 @@ def model_statistics(model: FiberModel) -> ModelStats:
         phi_hist=phi_hist,
         length_hist=length_hist,
     )
+
+
+def _fiber_entries(fiber_count: int, min_length: float, max_length: float, mean_length: float,
+                   length_hist: dict, theta_hist, phi_hist) -> dict:
+    """The entries :meth:`ModelStats.to_dict` and :func:`label_statistics` share:
+    fiber count, min/max/mean length in um, length histogram, theta and phi bins."""
+    return {
+        "fiber_count": fiber_count,
+        "min_length_um": min_length,
+        "max_length_um": max_length,
+        "mean_length_um": mean_length,
+        "length_hist": length_hist,
+        "theta_hist": {"bin_deg": 90 / THETA_BINS, "range_deg": [0, 90],
+                       "counts": [int(c) for c in theta_hist]},
+        "phi_hist": {"bin_deg": 360 / PHI_BINS, "range_deg": [0, 360],
+                     "counts": [int(c) for c in phi_hist]},
+    }
+
+
+def label_statistics(vol: LabelVolume) -> dict:
+    """``stats --labels``: per-component length and orientation estimates from
+    voxel coordinates: principal axis by eigen-decomposition of the coordinate
+    covariance, length as the occupied extent along that axis."""
+    h = vol.grid.voxel_size
+    xs, ys, zs = np.nonzero(vol.data)
+    ids = vol.data[xs, ys, zs]
+    order = np.argsort(ids, kind="stable")
+    pts_all = np.stack([xs, ys, zs], axis=1).astype(np.float64)[order]
+    ids = ids[order]
+    boundaries = np.flatnonzero(np.diff(ids)) + 1
+    lengths = []
+    axes = []
+    for pts in np.split(pts_all, boundaries) if ids.size else []:
+        centered = pts - pts.mean(axis=0)
+        cov = centered.T @ centered / len(pts)
+        _, vecs = np.linalg.eigh(cov)
+        axis = vecs[:, -1]
+        proj = centered @ axis
+        lengths.append((proj.max() - proj.min() + 1.0) * h)
+        axes.append(axis)
+    lengths_arr = np.asarray(lengths)
+    return {
+        **_fiber_entries(len(lengths), float(lengths_arr.min()) if lengths else 0.0,
+                         float(lengths_arr.max()) if lengths else 0.0,
+                         float(lengths_arr.mean()) if lengths else 0.0, length_histogram(lengths),
+                         *orientation_histograms(np.reshape(axes, (-1, 3)))),
+        "foreground_fraction": float(np.count_nonzero(vol.data) / vol.grid.voxel_count),
+    }
 
 
 def stats_document(model: FiberModel, audit: bool = False) -> dict:

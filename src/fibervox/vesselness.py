@@ -35,8 +35,8 @@ import numpy as np
 from scipy import ndimage
 
 from .fibers import hemisphere
-from .volume import (GridSpec, LabelVolume, Volume, _check_number, _raw_payloads, read_volume,
-                     write_files)
+from .volume import (GridSpec, LabelVolume, Volume, _check_number, _volume_payloads,
+                     read_volume, write_files)
 
 # Voxels per slab of the per-voxel steps (eigensolves, sort, response): 2 x
 # 128 x 128, so that each of their float64 temporaries stays near 256 KB, in a
@@ -452,18 +452,22 @@ def write_orientation_field(field: OrientationField, path_stem: str | Path) -> l
     stem.valid (u8 mask, same raw+JSON layout with dtype tag "u8"). All eight
     files move into place together; returns their paths."""
     stem = str(path_stem)
-    grid = {"dims": list(field.grid.dims), "voxel_size_um": field.grid.voxel_size}
-    payloads = _raw_payloads(stem + ".valid", field.valid.ravel(order="F"), "u8", **grid)
+    payloads = _volume_payloads(stem + ".valid", field.grid, field.valid, "u8")
     for suffix, idx in ((".ox", 0), (".oy", 1), (".oz", 2)):
-        payloads.update(_raw_payloads(stem + suffix, field.axes[..., idx].ravel(order="F"),
-                                      "f32", **grid))
+        payloads.update(_volume_payloads(stem + suffix, field.grid, field.axes[..., idx], "f32"))
     return write_files(payloads, stem)
 
 
 def read_orientation_field(path_stem: str | Path) -> OrientationField:
+    """Read a field written by :func:`write_orientation_field`: ``.ox``, ``.oy``
+    and ``.oz`` must be f32 volumes and ``.valid`` a mask, all on one grid."""
     stem = str(path_stem)
     components = [read_volume(stem + suffix) for suffix in (".ox", ".oy", ".oz")]
     grid = components[0].grid
+    for suffix, c in zip((".ox", ".oy", ".oz"), components):
+        if not isinstance(c, Volume) or c.grid != grid:
+            raise ValueError(f"orientation component '{stem}{suffix}' must be an f32 volume on "
+                             f"the grid of '{stem}.ox'")
     axes = np.stack([c.data for c in components], axis=-1)
     mask = read_volume(stem + ".valid")
     if not isinstance(mask, LabelVolume) or mask.grid != grid:

@@ -77,34 +77,14 @@ class GridSpec:
         """Physical edge lengths in micrometers, exactly dims * voxel_size."""
         return tuple(d * self.voxel_size for d in self.dims)
 
-    def linear_index(self, x: int, y: int, z: int) -> int:
-        nx, ny, _ = self.dims
-        return x + nx * (y + ny * z)
-
 
 def _check_shape(grid: GridSpec, data: np.ndarray) -> None:
     if data.shape != grid.dims:
         raise ValueError(f"data shape {data.shape} does not match grid dims {grid.dims}")
 
 
-class _Samples:
-    """Canonical-order samples of both volume classes; each constructor sets the dtype."""
-
-    @classmethod
-    def from_flat(cls, grid: GridSpec, flat):
-        flat = np.asarray(flat)
-        if flat.size != grid.voxel_count:
-            raise ValueError(f"expected {grid.voxel_count} values, got {flat.size}")
-        return cls(grid, flat.reshape(grid.dims, order="F"))
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Samples in canonical linear order x + nx*(y + ny*z)."""
-        return self.data.ravel(order="F")
-
-
 @dataclass
-class Volume(_Samples):
+class Volume:
     """Gray-value volume (float32). Treated as immutable once constructed."""
 
     grid: GridSpec
@@ -119,7 +99,7 @@ class Volume(_Samples):
 
 
 @dataclass
-class LabelVolume(_Samples):
+class LabelVolume:
     """Integer label volume (uint32); 0 is reserved for background."""
 
     grid: GridSpec
@@ -178,6 +158,14 @@ def _raw_payloads(path_stem: str | Path, samples: np.ndarray, tag: str, order: s
             stem.with_name(stem.name + ".raw"): samples.astype(_DTYPES[tag], copy=False).tobytes()}
 
 
+def _volume_payloads(path_stem: str | Path, grid: GridSpec, data: np.ndarray,
+                     tag: str) -> dict[Path, bytes]:
+    """:func:`_raw_payloads` of samples ``data`` (nx, ny, nz) on ``grid``: the
+    raw layout of every volume, x-fastest, that :func:`read_volume` reads."""
+    return _raw_payloads(path_stem, data.ravel(order="F"), tag, dims=list(grid.dims),
+                         voxel_size_um=grid.voxel_size)
+
+
 def write_volume(vol: Volume | LabelVolume, path_stem: str | Path) -> list[Path]:
     """Write ``<stem>.json`` metadata and ``<stem>.raw`` sample stream.
 
@@ -190,14 +178,14 @@ def write_volume(vol: Volume | LabelVolume, path_stem: str | Path) -> list[Path]
         tag = "u32"
     else:
         raise TypeError(f"expected Volume or LabelVolume, got {type(vol).__name__}")
-    return write_files(_raw_payloads(path_stem, vol.flat, tag, dims=list(vol.grid.dims),
-                                     voxel_size_um=vol.grid.voxel_size), path_stem)
+    return write_files(_volume_payloads(path_stem, vol.grid, vol.data, tag), path_stem)
 
 
 def read_volume(path_stem: str | Path) -> Volume | LabelVolume:
     """Read a volume pair written by :func:`write_volume`, bit-exactly.
 
-    A ``u8`` mask reads as a :class:`LabelVolume`."""
+    A ``u8`` mask reads as a :class:`LabelVolume`. A sidecar whose ``order`` or
+    ``endianness`` names another layout is rejected."""
     stem = Path(path_stem)
     json_path = stem.with_name(stem.name + ".json")
     raw_path = stem.with_name(stem.name + ".raw")
@@ -216,6 +204,10 @@ def read_volume(path_stem: str | Path) -> Volume | LabelVolume:
     tag = meta["dtype"]
     if not isinstance(tag, str) or tag not in _DTYPES:
         raise ValueError(f"bad volume sidecar '{json_path}': unknown dtype {tag!r}")
+    for key, layout in (("order", RAW_ORDER), ("endianness", RAW_ENDIANNESS)):
+        if meta.get(key, layout) != layout:
+            raise ValueError(f"bad volume sidecar '{json_path}': {key} {meta[key]!r}, "
+                             f"expected {layout!r}")
     dims, voxel_size = meta["dims"], meta["voxel_size_um"]
     try:
         if not isinstance(dims, list):
@@ -231,7 +223,5 @@ def read_volume(path_stem: str | Path) -> Volume | LabelVolume:
             f"size mismatch in '{raw_path}': header implies {expected} bytes "
             f"({grid.voxel_count} voxels of {tag}), raw file has {len(raw)} bytes"
         )
-    flat = np.frombuffer(raw, dtype=_DTYPES[tag])
-    if tag == "f32":
-        return Volume.from_flat(grid, flat)
-    return LabelVolume.from_flat(grid, flat)
+    data = np.frombuffer(raw, dtype=_DTYPES[tag]).reshape(grid.dims, order="F")
+    return Volume(grid, data) if tag == "f32" else LabelVolume(grid, data)

@@ -13,9 +13,8 @@ from fibervox.fibers import (
     ModelParams,
     _sample_direction,
     audit_model,
-    canonical_axes,
-    capsules_overlap,
     generate_model,
+    hemisphere,
     model_statistics,
     read_fibers_csv,
     segment_distance_sq,
@@ -91,9 +90,14 @@ def test_capsules_overlap_strict_inequality():
     touching = fiber(2, (0, 4, 0), (10, 4, 0), r=2.0)  # gap exactly 2r
     apart = fiber(3, (0, 4.001, 0), (10, 4.001, 0), r=2.0)
     overlapping = fiber(4, (0, 3.9, 0), (10, 3.9, 0), r=2.0)
-    assert not capsules_overlap(a, touching)
-    assert not capsules_overlap(a, apart)
-    assert capsules_overlap(a, overlapping)
+    params = ModelParams(box_edge=100.0, radius=2.0)
+
+    def violations(b):
+        return audit_model(FiberModel(params=params, fibers=[a, b]))["overlap_violations"]
+
+    assert violations(touching) == 0
+    assert violations(apart) == 0
+    assert violations(overlapping) == 1
 
 
 # ---------------------------------------------------------------- validation
@@ -230,18 +234,17 @@ def test_audit_flags_planted_violations():
 
 
 def test_canonical_axes_hemisphere():
-    fs = [
-        fiber(1, (0, 0, 0), (0, 0, -2)),       # -z flips to +z
-        fiber(2, (0, 0, 0), (0, -3, 0)),       # z=0, -y flips to +y
-        fiber(3, (0, 0, 0), (-4, 0, 0)),       # z=0, y=0, -x flips to +x
-        fiber(4, (0, 0, 0), (1, 1, 1)),
-    ]
-    axes = canonical_axes(fs)
+    axes = hemisphere(np.array([
+        [0.0, 0.0, -1.0],                      # -z flips to +z
+        [0.0, -1.0, 0.0],                      # z=0, -y flips to +y
+        [-1.0, 0.0, 0.0],                      # z=0, y=0, -x flips to +x
+        np.full(3, 1 / math.sqrt(3)),
+    ]))
     np.testing.assert_allclose(axes[0], [0, 0, 1])
     np.testing.assert_allclose(axes[1], [0, 1, 0])
     np.testing.assert_allclose(axes[2], [1, 0, 0])
     np.testing.assert_allclose(axes[3], np.full(3, 1 / math.sqrt(3)))
-    assert canonical_axes([]).shape == (0, 3)
+    assert hemisphere(np.empty((0, 3))).shape == (0, 3)
 
 
 def test_weight_fraction_closed_form():

@@ -12,8 +12,8 @@ from fibervox.ctsim import DegradeParams, radon_slice, rasterize_attenuation, si
 from fibervox.fibers import Fiber, FiberModel, ModelParams, read_fibers_csv
 from fibervox.mesh import export_stl
 from fibervox.metrics import _pair_count_sum
-from fibervox.vesselness import (ScaleSet, VesselnessParams, binarize, check_orientation,
-                                 frangi_multiscale, gaussian_kernel,
+from fibervox.vesselness import (OrientationField, ScaleSet, VesselnessParams, binarize,
+                                 check_orientation, frangi_multiscale, gaussian_kernel,
                                  read_orientation_field, structure_tensor_orientation,
                                  write_orientation_field)
 from fibervox.volume import GridSpec, LabelVolume, Volume, read_volume, write_volume
@@ -55,6 +55,31 @@ def test_truncated_validity_mask_names_the_file(tmp_path):
     raw = tmp_path / "orient.valid.raw"
     raw.write_bytes(raw.read_bytes()[:509])
     with pytest.raises(ValueError, match=r"size mismatch in '.*orient\.valid\.raw'"):
+        read_orientation_field(stem)
+
+
+def _written_field(stem):
+    grid = GridSpec((2, 3, 4), 1.0)
+    axes = np.zeros(grid.dims + (3,), np.float32)
+    axes[..., 2] = 1.0
+    write_orientation_field(OrientationField(grid, axes, np.ones(grid.dims, bool)), stem)
+    return grid
+
+
+def test_orientation_component_on_another_grid_names_it(tmp_path):
+    stem = tmp_path / "orient"
+    grid = _written_field(stem)
+    write_volume(Volume(GridSpec(grid.dims, 2.0), np.zeros(grid.dims)), f"{stem}.oy")
+    with pytest.raises(ValueError, match=r"orientation component '.*orient\.oy' must be an f32 "
+                                         r"volume on the grid of '.*orient\.ox'"):
+        read_orientation_field(stem)
+
+
+def test_orientation_component_holding_labels_names_it(tmp_path):
+    stem = tmp_path / "orient"
+    grid = _written_field(stem)
+    write_volume(LabelVolume(grid, np.ones(grid.dims, np.uint32)), f"{stem}.oz")
+    with pytest.raises(ValueError, match=r"orientation component '.*orient\.oz' must be an f32"):
         read_orientation_field(stem)
 
 

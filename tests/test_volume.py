@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fibervox.vesselness import OrientationField, read_orientation_field, write_orientation_field
 from fibervox.volume import (
     FORMAT_VERSION,
     NEIGHBORS_26,
@@ -21,12 +22,6 @@ def test_gridspec_basics():
     g = GridSpec((4, 5, 6), 2.0)
     assert g.voxel_count == 120
     assert g.extent == (8.0, 10.0, 12.0)
-    # x fastest, then y, then z
-    assert g.linear_index(0, 0, 0) == 0
-    assert g.linear_index(1, 0, 0) == 1
-    assert g.linear_index(0, 1, 0) == 4
-    assert g.linear_index(0, 0, 1) == 20
-    assert g.linear_index(3, 4, 5) == 119
 
 
 @pytest.mark.parametrize("dims,h", [((0, 1, 1), 1.0), ((1, 1), 1.0), ((2, 2, 2), 0.0),
@@ -60,18 +55,6 @@ def test_volume_shape_mismatch():
         Volume(GridSpec((2, 2, 2), 1.0), np.zeros((2, 2, 3), dtype=np.float32))
 
 
-def test_flat_ordering_is_x_fastest():
-    g = GridSpec((2, 2, 2), 1.0)
-    vals = np.arange(8, dtype=np.float32)
-    v = Volume.from_flat(g, vals)
-    # flat index x + nx*(y + ny*z) must recover the original sequence
-    for z in range(2):
-        for y in range(2):
-            for x in range(2):
-                assert v.data[x, y, z] == vals[g.linear_index(x, y, z)]
-    np.testing.assert_array_equal(v.flat, vals)
-
-
 def test_written_bytes_are_little_endian_x_fastest(tmp_path):
     # (2,1,1) grid: the raw file must be exactly the two f32 samples in order.
     g = GridSpec((2, 1, 1), 1.0)
@@ -80,6 +63,76 @@ def test_written_bytes_are_little_endian_x_fastest(tmp_path):
     blob = raw_path.read_bytes()
     assert blob == struct.pack("<2f", 1.0, 2.0)
     assert len(blob) == 8
+
+
+# Three distinct dims, so that x-fastest and C order give different streams.
+ORDER_GRID = GridSpec((2, 3, 4), 1.0)
+
+
+def x_fastest_voxels(dims):
+    """Voxels (x, y, z) in on-disk order: x fastest, then y, then z."""
+    nx, ny, nz = dims
+    return [(x, y, z) for z in range(nz) for y in range(ny) for x in range(nx)]
+
+
+def voxel_of(k, dims):
+    """The voxel that sample k of an x-fastest stream belongs to."""
+    nx, ny, _ = dims
+    return k % nx, (k // nx) % ny, k // (nx * ny)
+
+
+def distinct_values(dims):
+    """An array whose every voxel holds a different value: 100x + 10y + z + 1."""
+    x, y, z = np.indices(dims)
+    return 100 * x + 10 * y + z + 1
+
+
+def write_raw_pair(stem, dims, tag, blob):
+    """A volume pair written by hand: the sidecar and the raw bytes."""
+    meta = {"dims": list(dims), "voxel_size_um": 1.0, "dtype": tag, "order": "x-fastest",
+            "endianness": "little"}
+    Path(f"{stem}.json").write_text(json.dumps(meta))
+    Path(f"{stem}.raw").write_bytes(blob)
+
+
+@pytest.mark.parametrize("kind,tag,fmt", [(Volume, "f32", "f"), (LabelVolume, "u32", "I")])
+def test_written_raw_is_x_fastest_on_distinct_dims(tmp_path, kind, tag, fmt):
+    data = distinct_values(ORDER_GRID.dims)
+    _, raw_path = write_volume(kind(ORDER_GRID, data), tmp_path / "v")
+    values = [data[v] for v in x_fastest_voxels(ORDER_GRID.dims)]
+    assert raw_path.read_bytes() == struct.pack(f"<{len(values)}{fmt}", *values)
+
+
+@pytest.mark.parametrize("tag,fmt", [("f32", "f"), ("u32", "I"), ("u8", "B")])
+def test_hand_written_raw_reads_x_fastest(tmp_path, tag, fmt):
+    dims = ORDER_GRID.dims
+    n = ORDER_GRID.voxel_count
+    write_raw_pair(tmp_path / "v", dims, tag, struct.pack(f"<{n}{fmt}", *range(n)))
+    back = read_volume(tmp_path / "v")
+    assert back.grid == ORDER_GRID
+    for k in range(n):
+        assert back.data[voxel_of(k, dims)] == k
+
+
+def test_orientation_field_raws_are_x_fastest(tmp_path):
+    dims = ORDER_GRID.dims
+    n = ORDER_GRID.voxel_count
+    values = distinct_values(dims).astype(np.float32)
+    axes = np.zeros(dims + (3,), np.float32)
+    axes[..., 1] = values
+    valid = values % 3 == 0
+    write_orientation_field(OrientationField(ORDER_GRID, axes, valid), tmp_path / "o")
+    voxels = x_fastest_voxels(dims)
+    assert (tmp_path / "o.oy.raw").read_bytes() == struct.pack(f"<{n}f",
+                                                               *(values[v] for v in voxels))
+    assert (tmp_path / "o.valid.raw").read_bytes() == bytes(int(valid[v]) for v in voxels)
+    # Hand-written streams read back the same way.
+    (tmp_path / "o.oy.raw").write_bytes(struct.pack(f"<{n}f", *range(n)))
+    (tmp_path / "o.valid.raw").write_bytes(bytes(k % 2 for k in range(n)))
+    back = read_orientation_field(tmp_path / "o")
+    for k in range(n):
+        assert back.axes[voxel_of(k, dims) + (1,)] == k
+        assert back.valid[voxel_of(k, dims)] == bool(k % 2)
 
 
 def test_sidecar_fields(tmp_path):
@@ -151,6 +204,25 @@ def test_unknown_dtype_rejected(tmp_path):
     json_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="unknown dtype"):
         read_volume(tmp_path / "v")
+
+
+@pytest.mark.parametrize("key,value", [("order", "z-fastest"), ("endianness", "big")])
+def test_sidecar_declaring_another_layout_rejected(tmp_path, key, value):
+    json_path, _ = write_volume(Volume(ORDER_GRID, np.zeros(ORDER_GRID.dims)), tmp_path / "v")
+    meta = json.loads(json_path.read_text())
+    meta[key] = value
+    json_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=rf"bad volume sidecar '.*v\.json': {key} '{value}'"):
+        read_volume(tmp_path / "v")
+
+
+def test_sidecar_without_layout_fields_reads_x_fastest_little_endian(tmp_path):
+    data = distinct_values(ORDER_GRID.dims).astype(np.float32)
+    json_path, _ = write_volume(Volume(ORDER_GRID, data), tmp_path / "v")
+    meta = json.loads(json_path.read_text())
+    del meta["order"], meta["endianness"]
+    json_path.write_text(json.dumps(meta))
+    np.testing.assert_array_equal(read_volume(tmp_path / "v").data, data)
 
 
 def test_missing_file_is_oserror(tmp_path):
