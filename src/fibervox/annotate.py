@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ctsim import _capsule_boxes
 from .fibers import _fiber_arrays
 from .volume import NEIGHBORS_26, GridSpec, LabelVolume, Volume, write_files
 
@@ -147,14 +148,17 @@ def region_grow(gray: Volume, seeds: LabelVolume, threshold: float) -> LabelVolu
 def annotations_from_fibers(fibers, grid: GridSpec) -> list[PolylineAnnotation]:
     """Two-point chains from fiber endpoints, in voxel coordinates.
 
-    Endpoints map to the nearest voxel center and are clamped into the grid;
-    fibers whose endpoints collapse onto one voxel are skipped.
+    Endpoints map to the nearest voxel center and are clamped into the grid.
+    Skipped: fibers whose capsule's bounding box misses the grid, which
+    rasterization skips too, and fibers whose endpoints collapse onto one voxel.
     """
     p0, p1, _ = _fiber_arrays(fibers)
+    first, last = _capsule_boxes(fibers, grid)
     ends = np.clip(np.round(np.stack([p0, p1]) / grid.voxel_size - 0.5).astype(int),
                    0, np.asarray(grid.dims) - 1).tolist()
+    hits = (first <= last).all(axis=1).tolist()
     return [PolylineAnnotation(id=fiber.id, points=[tuple(a), tuple(b)])
-            for fiber, a, b in zip(fibers, *ends) if a != b]
+            for fiber, a, b, hit in zip(fibers, *ends, hits) if hit and a != b]
 
 
 def write_annotations(annotations: list[PolylineAnnotation], path: str | Path) -> list[Path]:

@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__
 from .annotate import annotations_from_fibers, read_annotations, region_grow, render_polylines
 from .config import PipelineConfig
-from .ctsim import (degrade, fibers_outside, rasterize_attenuation, rasterize_labels,
-                    simulate_fbp, write_sinogram)
+from .ctsim import degrade, fibers_outside, rasterize, simulate_fbp, write_sinogram
 from .fibers import (FiberModel, generate_model, label_statistics, model_statistics,
                      read_fibers_csv, stats_document, write_fibers_csv)
 from .mesh import write_stl
@@ -92,10 +91,8 @@ def _cmd_rasterize(args, cfg: PipelineConfig, out: _Outputs) -> None:
     fibers = read_fibers_csv(args.fibers)
     model = FiberModel(params=cfg.model_params(), fibers=fibers)
     grid = cfg.grid_spec()
-    # Attenuation first: it checks the levels and supersample before any work.
-    atten = rasterize_attenuation(model, grid, supersample=raster["supersample"],
-                                  levels=(raster["fiber_value"], raster["matrix_value"]))
-    labels, conflicts = rasterize_labels(model, grid)
+    labels, conflicts, atten = rasterize(model, grid, raster["supersample"],
+                                         (raster["fiber_value"], raster["matrix_value"]))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out.track(*write_volume(labels, out_dir / "gt"))

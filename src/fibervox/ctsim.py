@@ -1,4 +1,5 @@
-"""CT simulation: fiber models to label volumes and gray-value volumes.
+"""CT simulation: one walk over a fiber model gives its label volume and its
+attenuation volume (:func:`rasterize`), from which gray-value volumes follow.
 
 Two gray-value routes exist. The fast route rasterizes attenuation with
 sub-voxel supersampling and degrades it with Gaussian blur plus SNR-matched
@@ -87,13 +88,31 @@ def fibers_outside(fibers, grid: GridSpec) -> int:
 _SUBSAMPLES = 1 << 18
 
 
-def _rasterize(m: FiberModel, grid: GridSpec, supersample: int | None = None):
-    """``(labels, conflicts, counts)`` from one walk over the fibers in id
-    order: the labels and conflicts of :func:`rasterize_labels`, and per voxel
-    the number of its supersample^3 sub-lattice points inside any capsule,
-    capped at supersample^3 (uint16; None without a supersample). A fiber
-    sub-samples only the voxels whose center lies within r + half a voxel
-    diagonal of its axis; no sub-lattice point of another voxel lies within r."""
+def rasterize(m: FiberModel, grid: GridSpec, supersample: int | None = None,
+              levels: tuple[float, float] = (GLASS_DENSITY, EPOXY_DENSITY)):
+    """``(labels, conflicts, attenuation)`` from one walk over the fibers in id
+    order. A voxel gets a fiber's ID iff its center lies within the fiber's
+    capsule; lower IDs win contested voxels, and ``conflicts`` counts them (0
+    for a valid non-overlapping model).
+
+    ``attenuation`` (None without a supersample) is matrix + (fiber - matrix)
+    * occupancy, with occupancy the fraction of a voxel's supersample^3
+    sub-lattice inside any capsule: exactly the fiber level in fully covered
+    voxels, exactly the matrix level in untouched ones. ``supersample`` is an
+    integer from 1 to 40 (the counts are uint16); both ``levels`` (fiber,
+    matrix) must be finite, the fiber level the higher. A fiber sub-samples
+    only the voxels whose center lies within r + half a voxel diagonal of its
+    axis; no sub-lattice point of another voxel lies within r."""
+    if supersample is not None:
+        _check_number("supersample", supersample, low=1, strict=False, integer=True)
+        if supersample > 40:  # 40**3 sub-samples still fit the uint16 counts
+            raise ValueError(f"supersample must be <= 40, got {supersample}")
+        fiber_value, matrix_value = levels
+        for name, value in (("fiber level", fiber_value), ("matrix level", matrix_value)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not fiber_value > matrix_value:
+            raise ValueError("fiber level must exceed matrix level")
     box_edge = m.params.box_edge
     if any(e + 1e-9 * box_edge < box_edge for e in grid.extent):
         raise ValueError(
@@ -102,7 +121,7 @@ def _rasterize(m: FiberModel, grid: GridSpec, supersample: int | None = None):
     labels = LabelVolume.zeros(grid)
     conflicts = 0
     counts = None
-    if supersample:
+    if supersample is not None:
         s3 = supersample**3
         counts = np.zeros(grid.dims, dtype=np.uint16)
         # Sub-lattice offsets within a voxel along x, y and z, each (s3, 1).
@@ -137,43 +156,29 @@ def _rasterize(m: FiberModel, grid: GridSpec, supersample: int | None = None):
             n_in = (_segment_point_dist_sq(p0, axis, inv_len_sq, px, py, pz)
                     <= fiber.radius**2).sum(axis=0)
             box_counts[idx] = np.minimum(box_counts[idx] + n_in, s3)
-    return labels, conflicts, counts
+    if counts is None:
+        return labels, conflicts, None
+    # matrix + (fiber - matrix) * counts / s3 in float64 one x plane at a time:
+    # a whole-volume float64 temporary beside the labels would set the peak.
+    atten = np.empty(grid.dims, dtype=np.float32)
+    for plane, out in zip(counts, atten):
+        value = np.divide(plane, s3, dtype=np.float64)
+        value *= fiber_value - matrix_value
+        value += matrix_value
+        value[plane >= s3] = fiber_value
+        out[...] = value
+    return labels, conflicts, Volume(grid=grid, data=atten)
 
 
 def rasterize_labels(m: FiberModel, grid: GridSpec) -> tuple[LabelVolume, int]:
-    """Per-fiber ID volume: a voxel gets a fiber's ID iff its center lies
-    within the fiber's capsule. Lower IDs win contested voxels; the conflict
-    count is returned as a diagnostic (0 for a valid non-overlapping model).
-    """
-    return _rasterize(m, grid)[:2]
+    """The labels and conflict count of :func:`rasterize`."""
+    return rasterize(m, grid)[:2]
 
 
 def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
                           levels: tuple[float, float] = (GLASS_DENSITY, EPOXY_DENSITY)) -> Volume:
-    """Anti-aliased attenuation volume.
-
-    Voxel value = matrix + (fiber - matrix) * occupancy, with occupancy the
-    fraction of a supersample^3 sub-lattice inside any fiber capsule. Fully
-    covered voxels are exactly fiber_value; untouched voxels exactly
-    matrix_value. ``supersample`` is an integer from 1 to 40 (the sub-sample
-    counts are uint16), and the fiber level (first) must exceed the matrix
-    level.
-    """
-    _check_number("supersample", supersample, low=1, strict=False, integer=True)
-    if supersample > 40:  # 40**3 sub-samples still fit the uint16 counts
-        raise ValueError(f"supersample must be <= 40, got {supersample}")
-    fiber_value, matrix_value = levels
-    if not fiber_value > matrix_value:
-        raise ValueError("fiber level must exceed matrix level")
-    counts = _rasterize(m, grid, supersample)[2]
-    s3 = supersample**3
-
-    # matrix + (fiber - matrix) * counts / s3, in place in one float64 array.
-    out = np.divide(counts, s3, dtype=np.float64)
-    out *= fiber_value - matrix_value
-    out += matrix_value
-    out[counts >= s3] = fiber_value
-    return Volume(grid=grid, data=out.astype(np.float32))
+    """The anti-aliased attenuation volume of :func:`rasterize`."""
+    return rasterize(m, grid, supersample, levels)[2]
 
 
 def degrade(v: Volume, p: DegradeParams) -> Volume:

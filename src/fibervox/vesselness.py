@@ -460,7 +460,7 @@ def write_orientation_field(field: OrientationField, path_stem: str | Path) -> l
 
 def read_orientation_field(path_stem: str | Path) -> OrientationField:
     """Read a field written by :func:`write_orientation_field`: ``.ox``, ``.oy``
-    and ``.oz`` must be f32 volumes and ``.valid`` a mask, all on one grid."""
+    and ``.oz`` must be f32 volumes and ``.valid`` a 0/1 mask, all on one grid."""
     stem = str(path_stem)
     components = [read_volume(stem + suffix) for suffix in (".ox", ".oy", ".oz")]
     grid = components[0].grid
@@ -473,4 +473,7 @@ def read_orientation_field(path_stem: str | Path) -> OrientationField:
     if not isinstance(mask, LabelVolume) or mask.grid != grid:
         raise ValueError(f"validity mask '{stem}.valid' must be a u8 mask on the grid of "
                          f"'{stem}.ox'")
+    if mask.data.max(initial=0) > 1:
+        raise ValueError(f"validity mask '{stem}.valid' holds {mask.data.max()}; a mask holds "
+                         "only 0 and 1")
     return OrientationField(grid=grid, axes=axes, valid=mask.data.astype(bool))

@@ -10,6 +10,7 @@ from fibervox.annotate import (
     render_polylines,
     write_annotations,
 )
+from fibervox.ctsim import fibers_outside
 from fibervox.fibers import Fiber
 from fibervox.volume import GridSpec, LabelVolume, Volume
 
@@ -132,6 +133,15 @@ def test_annotations_from_fibers_clamps():
     fibers = [Fiber(1, np.array([-3.0, 0.5, 0.5]), np.array([9.0, 0.5, 0.5]), 0.2)]
     (chain,) = annotations_from_fibers(fibers, g)
     assert chain.points == [(0, 0, 0), (3, 0, 0)]
+
+
+def test_annotations_from_fibers_skips_fibers_off_the_grid():
+    g = GridSpec((24, 24, 24), 3.9)
+    fibers = [Fiber(1, np.array([-100.0, 40.0, 40.0]), np.array([-50.0, 60.0, 70.0]), 6.5),
+              Fiber(2, np.array([-5.0, 40.0, 40.0]), np.array([-5.0, 60.0, 70.0]), 6.5)]
+    # Fiber 2's axis lies off the grid too, but its capsule reaches into it.
+    assert [c.id for c in annotations_from_fibers(fibers, g)] == [2]
+    assert fibers_outside(fibers, g) == 1
 
 
 # ------------------------------------------------------------- region grow

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fibervox import ctsim
 from fibervox.cli import main as cli_main
 from fibervox.config import PipelineConfig
 from fibervox.fibers import (FiberModel, generate_model, model_statistics, read_fibers_csv,
@@ -99,6 +100,27 @@ def test_volume_artifacts(workdir):
     assert float(vess.data.min()) >= 0.0 and float(vess.data.max()) <= 1.0
     for suffix in (".ox.raw", ".oy.raw", ".oz.raw", ".valid.raw"):
         assert (Path(str(root / "orient") + suffix)).exists()
+
+
+def test_rasterize_walks_each_fiber_box_once(tmp_path, monkeypatch):
+    boxes = []
+    distance_sq = ctsim._segment_point_dist_sq
+
+    def counting(p0, axis, inv_len_sq, px, py, pz):
+        if np.ndim(px) == 3:  # a fiber's box, not a chunk of its sub-samples
+            boxes.append(tuple(p0.tolist()))
+        return distance_sq(p0, axis, inv_len_sq, px, py, pz)
+
+    monkeypatch.setattr(ctsim, "_segment_point_dist_sq", counting)
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    (tmp_path / "fibers.csv").write_text("id,x0,y0,z0,x1,y1,z1,radius_um\n"
+                                         "3,20,20,20,40,20,20,6.5\n5,20,60,60,60,60,60,6.5\n")
+    code, out, err = run_cli("rasterize", "--config", str(cfg), "--fibers",
+                             str(tmp_path / "fibers.csv"), "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert json.loads(out)["labeled_voxels"] > 0
+    assert sorted(boxes) == [(20.0, 20.0, 20.0), (20.0, 60.0, 60.0)]
 
 
 def test_metrics_output(workdir):

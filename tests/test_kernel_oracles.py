@@ -17,9 +17,9 @@ import pytest
 from scipy import ndimage
 
 from fibervox import ctsim, vesselness
-from fibervox.ctsim import (Sinogram, _ramlak_filter, _ramlak_ramp, fbp_slice,
+from fibervox.ctsim import (Sinogram, _ramlak_filter, _ramlak_ramp, fbp_slice, rasterize,
                             rasterize_attenuation, rasterize_labels)
-from fibervox.fibers import Fiber, FiberModel, ModelParams, hemisphere
+from fibervox.fibers import EPOXY_DENSITY, Fiber, FiberModel, ModelParams, hemisphere
 from fibervox.vesselness import (EigenField, ScaleSet, VesselnessParams, _divide_nonzero,
                                  _eig3_symmetric, _sort_by_magnitude,
                                  frangi_multiscale, frangi_response, gaussian_kernel,
@@ -419,31 +419,49 @@ def test_rasterize_without_supersample_makes_labels_only():
     all_conflicts = []
     for fibers, params, grid in cases:
         model = FiberModel(params=params, fibers=fibers)
-        labels, conflicts, counts = ctsim._rasterize(model, grid)
-        assert counts is None
-        with_counts = ctsim._rasterize(model, grid, 1)
-        assert_bits_equal(labels.data, with_counts[0].data)
-        assert conflicts == with_counts[1]
+        labels, conflicts, atten = rasterize(model, grid)
+        assert atten is None
+        with_atten = rasterize(model, grid, 1)
+        assert_bits_equal(labels.data, with_atten[0].data)
+        assert conflicts == with_atten[1]
         all_conflicts.append(conflicts)
     assert max(all_conflicts) > 0
 
 
+# One thin fiber in a 64^3 grid: its box is small beside any whole volume.
+_THIN_GRID = GridSpec((64, 64, 64), 1.0)
+_THIN_MODEL = FiberModel(
+    params=ModelParams(box_edge=64.0, radius=1.5, mean_length=10.0, length_stddev=0.0,
+                       target_fraction=0.5, max_attempts=1, seed=0),
+    fibers=[Fiber(1, (10.0, 10.0, 10.0), (20.0, 12.0, 14.0), 1.5)])
+
+
 def test_rasterize_labels_allocates_no_count_volume():
-    # One thin fiber in a 64^3 grid: besides the uint32 labels, the walk needs
-    # only its small box, well under half of a uint16 count volume.
-    grid = GridSpec((64, 64, 64), 1.0)
-    params = ModelParams(box_edge=64.0, radius=1.5, mean_length=10.0, length_stddev=0.0,
-                         target_fraction=0.5, max_attempts=1, seed=0)
-    model = FiberModel(params=params, fibers=[Fiber(1, (10.0, 10.0, 10.0),
-                                                    (20.0, 12.0, 14.0), 1.5)])
+    # Besides the uint32 labels, the walk needs only the fiber's small box,
+    # well under half of a uint16 count volume.
     tracemalloc.start()
     try:
-        labels, _ = rasterize_labels(model, grid)
+        labels, _ = rasterize_labels(_THIN_MODEL, _THIN_GRID)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.count_nonzero(labels.data) > 0
     assert peak < labels.data.nbytes + 64**3
+
+
+def test_rasterize_attenuation_maps_counts_without_a_float64_volume(monkeypatch):
+    # With small sub-sample chunks, the labels, counts and float32 result (10
+    # bytes a voxel) and the finiteness check's mask (1) leave no room for a
+    # float64 temporary of the whole volume (8).
+    monkeypatch.setattr(ctsim, "_SUBSAMPLES", 1 << 10)
+    tracemalloc.start()
+    try:
+        atten = rasterize_attenuation(_THIN_MODEL, _THIN_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(atten.data > EPOXY_DENSITY) > 0
+    assert peak < 12 * 64**3
 
 
 def test_rasterize_in_small_chunks_gives_the_same_volumes(monkeypatch):

@@ -58,6 +58,15 @@ def test_truncated_validity_mask_names_the_file(tmp_path):
         read_orientation_field(stem)
 
 
+def test_validity_mask_holding_other_values_names_it(tmp_path):
+    stem = tmp_path / "orient"
+    grid = _written_field(stem)
+    write_volume(LabelVolume(grid, np.full(grid.dims, 7, np.uint32)), f"{stem}.valid")
+    with pytest.raises(ValueError, match=r"validity mask '.*orient\.valid' holds 7; a mask "
+                                         r"holds only 0 and 1"):
+        read_orientation_field(stem)
+
+
 def _written_field(stem):
     grid = GridSpec((2, 3, 4), 1.0)
     axes = np.zeros(grid.dims + (3,), np.float32)
@@ -411,8 +420,15 @@ def test_negative_seeds_are_rejected():
     (lambda: ModelParams(length_stddev=math.nan), "length_stddev must be >= 0, got nan"),
     (lambda: GridSpec((4, 4, 4), math.inf), "voxel_size must be finite, got inf"),
     (lambda: GridSpec((4, 4, 4), -math.inf), "voxel_size must be > 0, got -inf"),
+    (lambda: rasterize_attenuation(_EMPTY_MODEL, GridSpec((4, 4, 4), 2.0),
+                                   levels=(math.inf, 1.31)),
+     "fiber level must be finite, got inf"),
+    (lambda: rasterize_attenuation(_EMPTY_MODEL, GridSpec((4, 4, 4), 2.0),
+                                   levels=(2.54, -math.inf)),
+     "matrix level must be finite, got -inf"),
 ], ids=["psf-sigma", "psf-sigma-negative", "box-edge", "box-edge-negative", "mean-length",
-        "length-stddev-inf", "length-stddev-nan", "voxel-size", "voxel-size-negative"])
+        "length-stddev-inf", "length-stddev-nan", "voxel-size", "voxel-size-negative",
+        "fiber-level", "matrix-level"])
 def test_model_degrade_and_grid_settings_must_be_finite(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
@@ -462,7 +478,7 @@ def test_rasterize_cli_rejects_fiber_level_not_above_matrix(tmp_path, fiber_valu
 
 
 def test_rasterize_cli_checks_levels_before_labeling(tmp_path, monkeypatch):
-    monkeypatch.setattr("fibervox.cli.rasterize_labels", _filter_must_not_run)
+    monkeypatch.setattr("fibervox.ctsim._capsule_boxes", _filter_must_not_run)
     cfg = tmp_path / "tiny.json"
     cfg.write_text(json.dumps(TINY))
     path = tmp_path / "fibers.csv"
@@ -475,7 +491,7 @@ def test_rasterize_cli_checks_levels_before_labeling(tmp_path, monkeypatch):
 
 def test_rasterize_cli_caps_supersample_before_labeling(tmp_path, monkeypatch):
     # 41**3 sub-samples would overflow the uint16 counts
-    monkeypatch.setattr("fibervox.cli.rasterize_labels", _filter_must_not_run)
+    monkeypatch.setattr("fibervox.ctsim._capsule_boxes", _filter_must_not_run)
     cfg = tmp_path / "tiny.json"
     cfg.write_text(json.dumps(TINY))
     path = tmp_path / "fibers.csv"
