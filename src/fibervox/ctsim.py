@@ -177,7 +177,10 @@ def rasterize_labels(m: FiberModel, grid: GridSpec) -> tuple[LabelVolume, int]:
 
 def rasterize_attenuation(m: FiberModel, grid: GridSpec, supersample: int = 3,
                           levels: tuple[float, float] = (GLASS_DENSITY, EPOXY_DENSITY)) -> Volume:
-    """The anti-aliased attenuation volume of :func:`rasterize`."""
+    """The anti-aliased attenuation volume of :func:`rasterize`, which needs a
+    supersample."""
+    if supersample is None:
+        raise ValueError("rasterize_attenuation needs a supersample, got None")
     return rasterize(m, grid, supersample, levels)[2]
 
 

@@ -8,19 +8,19 @@ orientation estimator for the extracted fibers lives here too. Both take their
 sampled-Gaussian derivatives from one separable routine, :func:`_derivatives`:
 15 convolution passes for the Hessian, 8 + 6 * 3 for the structure tensor.
 
-Memory and threads: the per-voxel steps (sigma^2 scaling, eigensolves,
-magnitude sort, response) run over slabs of about 128 x 128 x 2 voxels, whose
-256 KB float64 temporaries stay near a core's L2, on one worker thread per CPU
-the process may use (:func:`_each_slab`); the Gaussian passes stay on the
-calling thread, because scipy's ``correlate1d`` holds the GIL. A kernel holds
-its six full-volume float64 components and its outputs plus a few slab
-temporaries per worker; the structure tensor's closed-form axis and its eigh
-fallback need no (..., 3, 3) stack beyond the fallback voxels. Peak RSS of
-one standalone call on 2 CPUs (three Frangi scales; the structure tensor at
-sigma_g 1, rho 2): Frangi 213-220 MB at 128^3 and 1.00 GB at 241^3, the
-structure tensor 245 MB and 1.07 GB. At 128^3, 19-26 and 12 MB of that is the
-two workers' malloc arenas, which keep freed slab temporaries (194 and 234 MB
-with one arena); deeper slabs keep more.
+Memory and threads: both kernels run over x-slabs of whole y-z planes, about
+128 x 128 x 2 voxels, whose 256 KB float64 temporaries stay near a core's L2,
+on one worker thread per CPU the process may use (:func:`_each_slab`): first
+the Gaussian passes, with scipy's sums bit for bit (x and y in numpy, whose
+ufuncs release the GIL, z in scipy; see :func:`_derivatives` for why), then
+the per-voxel steps (sigma^2 scaling, eigensolves, magnitude sort, response).
+A kernel holds its six full-volume float64 components and its outputs plus a
+few slab temporaries per worker; the structure tensor's closed-form axis and
+its eigh fallback need no (..., 3, 3) stack beyond the fallback voxels. Peak
+RSS of one standalone call on 2 CPUs (three Frangi scales; the structure
+tensor at sigma_g 1, rho 2), the workers' malloc arenas included: Frangi
+198 MB at 128^3 and 948 MB at 241^3, the structure tensor 215 MB and
+985-993 MB.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from .fibers import hemisphere
 from .volume import (GridSpec, LabelVolume, Volume, _check_number, _volume_payloads,
                      read_volume, write_files)
 
-# Voxels per slab of the per-voxel steps (eigensolves, sort, response): 2 x
-# 128 x 128, so that each of their float64 temporaries stays near 256 KB, in a
-# core's L2, whatever the grid.
+# Voxels per slab of the Gaussian passes and the per-voxel steps (eigensolves,
+# sort, response): 2 x 128 x 128, so that each of their float64 temporaries
+# stays near 256 KB, in a core's L2, whatever the grid.
 _SLAB_VOXELS = 128 * 128 * 2
 
 
@@ -117,29 +117,74 @@ def gaussian_kernel(sigma: float, order: int = 0) -> np.ndarray:
     raise ValueError(f"unsupported derivative order {order}")
 
 
-def _convolve(data: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    return ndimage.convolve1d(data, kernel, axis=axis, output=np.float64, mode="reflect")
+def _reflect(start: int, stop: int, n: int) -> np.ndarray:
+    """Indices ``start`` to ``stop`` - 1 of a length-``n`` axis, reflected at its
+    ends as scipy's ``reflect`` mode does: d c b a | a b c d | d c b a, with
+    period 2n, so that lines shorter than a kernel radius repeat."""
+    i = np.arange(start, stop) % (2 * n)
+    return np.where(i < n, i, 2 * n - 1 - i)
+
+
+def _pass(padded: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """float64 convolution of ``padded`` with an exactly symmetric or
+    antisymmetric ``kernel`` along ``axis``, which holds its r = len(kernel) // 2
+    halo samples on each side; the output drops them. The taps are summed in
+    the order of scipy's ``NI_Correlate1D`` (correlation with the flipped
+    kernel w): out = in * w[0], then for j = r ... 1,
+    out += (in[-j] +- in[+j]) * w[-j], each step rounded in float64, so the
+    result is ``ndimage.convolve1d`` of the unpadded samples bit for bit."""
+    w = kernel[::-1]
+    r = len(w) // 2
+    symmetric = np.array_equal(w, w[::-1])
+    assert symmetric or np.array_equal(w, -w[::-1]), "kernel is neither symmetric nor antisymmetric"
+    pair = np.add if symmetric else np.subtract
+    n = padded.shape[axis] - 2 * r
+
+    def tap(j):
+        return padded[(slice(None),) * axis + (slice(r + j, r + j + n),)]
+
+    out = np.multiply(tap(0), w[r], dtype=np.float64)
+    pairs = np.empty_like(out)
+    for j in range(r, 0, -1):
+        pair(tap(-j), tap(j), out=pairs, dtype=np.float64)
+        pairs *= w[r - j]
+        out += pairs
+    return out
 
 
 def _derivatives(data: np.ndarray, sigma: float, orders) -> list[np.ndarray]:
     """Sampled-Gaussian derivatives of ``data`` at ``sigma``, one float64
-    array per (x, y, z) order triple, each from an x, then a y, then a z pass.
+    array per (x, y, z) order triple: an x, a y and a z pass, each bit for bit
+    ``ndimage.convolve1d(mode="reflect")``.
 
-    Triples with the same x order share its pass, in order of first
-    appearance; a group's y passes all run before its x pass is dropped, and
-    the z passes come last, so that at most len(orders) + 1 full-volume
-    arrays are alive at once.
+    Each x-slab runs its whole cascade on a worker thread (:func:`_each_slab`):
+    its planes plus an r-plane halo (a view, or a reflected copy at the grid
+    ends), one x pass per x order shared by its triples, then the y passes in
+    numpy (:func:`_pass`), whose ufuncs release the GIL, and the z passes by
+    ``ndimage.convolve1d`` into the output's slab: along the contiguous axis
+    scipy's loop beats numpy's, GIL and all. The input is made C-contiguous
+    once, since in the x-fastest views that ``read_volume`` returns every x
+    tap is a strided gather (6-9x slower at 128^3). Only the outputs are full
+    volumes.
     """
     kernels = [gaussian_kernel(sigma, k) for k in range(max(map(max, orders)) + 1)]
-    out = [None] * len(orders)
-    for kx in dict.fromkeys(o[0] for o in orders):
-        x_pass = _convolve(data, kernels[kx], 0)
-        for i, o in enumerate(orders):
-            if o[0] == kx:
-                out[i] = _convolve(x_pass, kernels[o[1]], 1)
-        del x_pass
-    for i, o in enumerate(orders):
-        out[i] = _convolve(out[i], kernels[o[2]], 2)
+    r = len(kernels[0]) // 2
+    data = np.ascontiguousarray(data)
+    nx, ny, _ = data.shape
+    y_halo = _reflect(-r, ny + r, ny)
+    out = [np.empty(data.shape) for _ in orders]
+
+    def cascade(sl):
+        lo, hi = sl.start - r, min(sl.stop, nx) + r
+        planes = data[lo:hi] if 0 <= lo and hi <= nx else data[_reflect(lo, hi, nx)]
+        for kx in dict.fromkeys(o[0] for o in orders):
+            x_pass = _pass(planes, kernels[kx], 0)
+            for i, o in enumerate(orders):
+                if o[0] == kx:
+                    ndimage.convolve1d(_pass(x_pass[:, y_halo], kernels[o[1]], 1),
+                                       kernels[o[2]], axis=2, output=out[i][sl], mode="reflect")
+
+    _each_slab(cascade, data.shape)
     return out
 
 
@@ -169,11 +214,11 @@ def _each_slab(fn, dims: tuple[int, int, int]) -> list:
     dropped, and every worker is joined before this returns.
 
     numpy's ufuncs release the GIL, so slabs overlap; scipy's ``correlate1d``
-    does not (two passes on two threads take as long as one after the other),
-    so the convolution passes stay on the calling thread. ``fn`` writes only
-    its own slab, calls no public function (the benchmark's tracer wraps
-    those, and its span stack serves one thread) and sets any ``np.errstate``
-    itself, since that state is per thread.
+    does not, so a slab function keeps its scipy calls to the passes where
+    scipy's loop is faster anyway. ``fn`` writes only its own slab, calls no
+    public function (the benchmark's tracer wraps those, and its span stack
+    serves one thread) and sets any ``np.errstate`` itself, since that state
+    is per thread.
     """
     slabs = _slabs(dims)
     with ThreadPoolExecutor(min(_cpu_count(), len(slabs))) as pool:
@@ -257,10 +302,10 @@ def hessian_at_scale(v: Volume, sigma: float) -> EigenField:
     Six Hessian components via :func:`_derivatives` (reflect boundary),
     multiplied by sigma^2 (gamma = 2 scale normalization), then a closed-form
     symmetric eigensolve per voxel. The components fall into three x groups
-    (orders 2, 1 and 0), so they take 15 passes, not 18, with at most seven
-    full-volume float64 arrays alive; the scaling and the eigensolve run over
-    slabs (:func:`_each_slab`), and the result does not depend on the slab
-    size or the thread count.
+    (orders 2, 1 and 0), so they take 15 passes, not 18, with the six
+    components the only full-volume float64 arrays; the passes, the scaling
+    and the eigensolve run over slabs (:func:`_each_slab`), and the result
+    does not depend on the slab size or the thread count.
     """
     xx, xy, xz, yy, zz, yz = _derivatives(
         v.data, sigma, ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2), (0, 1, 1)))

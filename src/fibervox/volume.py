@@ -161,8 +161,10 @@ def _raw_payloads(path_stem: str | Path, samples: np.ndarray, tag: str, order: s
 def _volume_payloads(path_stem: str | Path, grid: GridSpec, data: np.ndarray,
                      tag: str) -> dict[Path, bytes]:
     """:func:`_raw_payloads` of samples ``data`` (nx, ny, nz) on ``grid``: the
-    raw layout of every volume, x-fastest, that :func:`read_volume` reads."""
-    return _raw_payloads(path_stem, data.ravel(order="F"), tag, dims=list(grid.dims),
+    raw layout of every volume, x-fastest, that :func:`read_volume` reads. C
+    order of the view ``data.T`` is x-fastest order, so ``tobytes`` makes the
+    one whole-volume copy."""
+    return _raw_payloads(path_stem, data.T, tag, dims=list(grid.dims),
                          voxel_size_um=grid.voxel_size)
 
 

@@ -434,6 +434,13 @@ def test_model_degrade_and_grid_settings_must_be_finite(build, message):
         build()
 
 
+def test_rasterize_attenuation_without_supersample_names_it():
+    # rasterize takes a null supersample to mean labels only, which leaves the
+    # attenuation wrapper nothing to return.
+    with pytest.raises(ValueError, match="^rasterize_attenuation needs a supersample, got None$"):
+        rasterize_attenuation(_EMPTY_MODEL, GridSpec((4, 4, 4), 2.0), None)
+
+
 def test_degrade_cli_rejects_negative_noise_seed(tmp_path, monkeypatch):
     monkeypatch.setattr("fibervox.cli.degrade", _filter_must_not_run)
     write_volume(Volume(GridSpec((4, 4, 4), 1.0), np.ones((4, 4, 4))), tmp_path / "v")

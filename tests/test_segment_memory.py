@@ -48,3 +48,13 @@ def test_segment_kernel_peaks_stay_under_sixteen_volumes(dims, slab_voxels, monk
     }
     for name, peak in peaks.items():
         assert peak / volume_bytes <= MAX_VOLUMES, f"{name}: {peak / volume_bytes:.1f} volumes"
+
+
+def test_derivatives_keep_no_full_volume_intermediate(monkeypatch):
+    # One output is one volume. A whole-volume x pass beside it would make two;
+    # each of the two workers holds only its slab's halo and passes.
+    monkeypatch.setattr(vesselness, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(vesselness, "_SLAB_VOXELS", 48 * 48 * 2)
+    data = np.random.default_rng(23).normal(size=(192, 48, 48))
+    peak = traced_peak(lambda: vesselness._derivatives(data, 1.5, ((0, 1, 2),)))
+    assert peak / data.nbytes < 1.5, f"{peak / data.nbytes:.2f} volumes"

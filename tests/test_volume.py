@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from fibervox.volume import (
     GridSpec,
     LabelVolume,
     Volume,
+    _volume_payloads,
     read_volume,
     write_volume,
 )
@@ -101,6 +103,21 @@ def test_written_raw_is_x_fastest_on_distinct_dims(tmp_path, kind, tag, fmt):
     _, raw_path = write_volume(kind(ORDER_GRID, data), tmp_path / "v")
     values = [data[v] for v in x_fastest_voxels(ORDER_GRID.dims)]
     assert raw_path.read_bytes() == struct.pack(f"<{len(values)}{fmt}", *values)
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_volume_payloads_hold_one_copy_of_the_samples(layout):
+    # The .raw bytes are the one whole-volume copy: an x-fastest array raveled
+    # beside them would make two.
+    data = layout(np.random.default_rng(46).random((64, 48, 40), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        payloads = _volume_payloads("v", GridSpec(data.shape, 1.0), data, "f32")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payloads[Path("v.raw")] == data.ravel(order="F").tobytes()
+    assert peak < 1.5 * data.nbytes, f"{peak / data.nbytes:.2f} volumes"
 
 
 @pytest.mark.parametrize("tag,fmt", [("f32", "f"), ("u32", "I"), ("u8", "B")])
