@@ -80,10 +80,10 @@ def _cmd_generate(args, cfg: PipelineConfig, out: _Outputs) -> None:
     out.track(out_dir / "model.stl")
     stats = stats_document(model, audit=args.audit)
     out.write_json(out_dir / "stats.json", stats)
-    stalled = {"stalled": model.stalled} if model.stalled else {}
+    extra = {key: stats[key] for key in ("stalled", "audit") if key in stats}
     _summary(stage="generate", fibers=stats["fiber_count"],
              volume_fraction=stats["volume_fraction"], attempts_used=model.attempts_used,
-             stop_reason=model.stop_reason, **stalled)
+             stop_reason=model.stop_reason, **extra)
 
 
 def _cmd_rasterize(args, cfg: PipelineConfig, out: _Outputs) -> None:
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stl-sides", type=int, default=24,
                    help="cylinder tessellation segments per circle")
     p.add_argument("--audit", action="store_true",
-                   help="include the O(n^2) overlap/bounds audit in stats.json")
+                   help="include the overlap/bounds audit counts in stats.json and the summary line")
 
     p = sub.add_parser("rasterize", parents=[common],
                        help="fibers.csv to ground-truth labels (gt) and attenuation (atten)")

@@ -59,31 +59,38 @@ def cylinder_triangles(p0, p1, radius, sides: int) -> np.ndarray:
     return verts[..., faces, :]
 
 
-def _facet_normals(tris: np.ndarray) -> np.ndarray:
-    n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]).astype(np.float64)
+def _facet_normals(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Unit normals (t, 3) float32 of triangles with float32 corners (t, 3)
+    each; 0 for a degenerate triangle."""
+    n = np.cross(v1 - v0, v2 - v0).astype(np.float64)
     norm = np.linalg.norm(n, axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        n = np.where(norm > 0, n / norm, 0.0)
+    np.divide(n, norm, out=n, where=norm > 0)  # n is 0 where norm is
     return n.astype(np.float32)
 
 
-def export_stl(model, segments_per_circle: int = 24) -> bytes:
+def export_stl(model, segments_per_circle: int = 24) -> bytearray:
     """Binary STL bytes of all fibers in a model (or plain fiber list):
     80-byte header, u32 triangle count, 50 bytes per triangle.
 
-    Each fiber contributes 4 * segments_per_circle triangles.
+    Each fiber contributes 4 * segments_per_circle triangles. The records are
+    filled in place in the one returned buffer, which starts zeroed (every
+    attribute count stays 0), and the normals come from the float32 corners
+    already written there.
     """
     _check_number("segments_per_circle", segments_per_circle, low=3, strict=False, integer=True)
     p0, p1, radii = _fiber_arrays(getattr(model, "fibers", model))
     tris = cylinder_triangles(p0, p1, radii, segments_per_circle).reshape(-1, 3, 3)
 
-    record = np.empty(len(tris), dtype=_TRI_DTYPE)
-    record["normal"] = _facet_normals(tris)
+    payload = bytearray(84 + _TRI_DTYPE.itemsize * len(tris))
+    payload[:80] = _HEADER.ljust(80, b"\0")
+    payload[80:84] = len(tris).to_bytes(4, "little")
+    record = np.frombuffer(payload, dtype=_TRI_DTYPE, offset=84)
     record["v0"] = tris[:, 0]
     record["v1"] = tris[:, 1]
     record["v2"] = tris[:, 2]
-    record["attr"] = 0
-    return _HEADER.ljust(80, b"\0") + np.uint32(len(tris)).tobytes() + record.tobytes()
+    del tris
+    record["normal"] = _facet_normals(record["v0"], record["v1"], record["v2"])
+    return payload
 
 
 def write_stl(model, path: str | Path, segments_per_circle: int = 24) -> int:

@@ -306,6 +306,16 @@ def test_generate_reports_stalled_fiber(tmp_path, workdir):
     assert "stalled" not in json.loads((root / "stats.json").read_text())
 
 
+def test_generate_summary_gives_the_audit_counts(tmp_path, workdir):
+    root, cfg_path, lines = workdir
+    stats = json.loads((root / "stats.json").read_text())
+    assert lines["generate"]["audit"] == stats["audit"] \
+        == {"overlap_violations": 0, "out_of_bounds": 0}
+    code, out, err = run_cli("generate", "--config", str(cfg_path), "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert "audit" not in json.loads(out)
+
+
 def test_stats_json_is_the_stats_document(workdir):
     root, cfg_path, _ = workdir
     model = generate_model(PipelineConfig.load(cfg_path).model_params())

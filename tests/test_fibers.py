@@ -1,16 +1,25 @@
 import math
+import os
+import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import fibervox.fibers as fibermod
+from fibervox.config import PipelineConfig
 from fibervox.fibers import (
     EPOXY_DENSITY,
     GLASS_DENSITY,
     Fiber,
     FiberModel,
     ModelParams,
+    _fiber_arrays,
     _sample_direction,
     audit_model,
     generate_model,
@@ -21,6 +30,9 @@ from fibervox.fibers import (
     weight_fraction,
     write_fibers_csv,
 )
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def fiber(i, p0, p1, r=1.0):
@@ -228,6 +240,210 @@ def test_audit_flags_planted_violations():
     report = audit_model(bad)
     assert report["overlap_violations"] == 1
     assert report["out_of_bounds"] == 1
+
+
+# ---------------------------------------------------------------- audit oracle
+
+
+def oracle_audit(model: FiberModel) -> dict:
+    """The audit with every pair tested: the O(n^2) loop, each fiber against
+    all later ones, and a per-fiber bounds check."""
+    n = len(model.fibers)
+    p0, p1, radii = _fiber_arrays(model.fibers)
+    overlaps = 0
+    for i in range(n - 1):
+        d2 = segment_distance_sq(p0[i], p1[i], p0[i + 1:], p1[i + 1:])
+        overlaps += int(np.count_nonzero(d2 < (radii[i] + radii[i + 1:]) ** 2))
+    edge = model.params.box_edge
+    outside = sum(not all(f.radius <= c <= edge - f.radius for c in [*f.p0, *f.p1])
+                  for f in model.fibers)
+    return {"overlap_violations": overlaps, "out_of_bounds": outside}
+
+
+def loose(*ends_and_radii, edge=30.0) -> FiberModel:
+    """A model of the given (p0, p1, r) fibers, ids 1.. in order, unpacked."""
+    return FiberModel(params=ModelParams(box_edge=edge, radius=1.0),
+                      fibers=[fiber(k + 1, *f) for k, f in enumerate(ends_and_radii)])
+
+
+def assert_audit(model: FiberModel, overlaps: int) -> None:
+    audit = audit_model(model)
+    assert audit == oracle_audit(model)
+    assert audit["overlap_violations"] == overlaps
+
+
+def test_audit_of_zero_one_and_two_fibers():
+    assert audit_model(loose()) == {"overlap_violations": 0, "out_of_bounds": 0}
+    assert_audit(loose(((5, 5, 5), (9, 5, 5), 1.0)), 0)
+    assert_audit(loose(((5, 5, 5), (9, 5, 5), 1.0), ((7, 4, 4), (7, 6, 6), 0.5)), 1)
+    assert_audit(loose(((5, 5, 5), (9, 5, 5), 1.0), ((7, 9, 4), (7, 9, 6), 0.5)), 0)
+
+
+def test_audit_pairs_exactly_touching_at_sum_of_radii():
+    # gaps of exactly r_i + r_j along y, z and the axis are not overlaps
+    a = ((0, 10, 10), (10, 10, 10), 1.5)
+    assert_audit(loose(a, ((0, 14, 10), (10, 14, 10), 2.5)), 0)
+    assert_audit(loose(a, ((3, 10, 12.5), (3, 20, 12.5), 1.0)), 0)
+    assert_audit(loose(a, ((12.5, 10, 10), (20, 10, 10), 1.0)), 0)
+    assert_audit(loose(a, ((0, 13.9, 10), (10, 13.9, 10), 2.5)), 1)
+
+
+@pytest.mark.parametrize("far, near", [
+    (((12, 5, 5), (20, 5, 5)), ((11.9, 5, 5), (20, 5, 5))),   # x-max meets x-min
+    (((0, 7, 5), (10, 7, 5)), ((0, 6.9, 5), (10, 6.9, 5))),   # y faces
+    (((0, 5, 7), (10, 5, 7)), ((0, 5, 6.9), (10, 5, 6.9))),   # z faces
+])
+def test_audit_boxes_meeting_at_one_face(far, near, monkeypatch):
+    a = ((0, 5, 5), (10, 5, 5), 1.0)
+    rows = []
+
+    def counting(p0, p1, q0, q1):
+        rows.append(len(p0))
+        return segment_distance_sq(p0, p1, q0, q1)
+
+    monkeypatch.setattr(fibermod, "segment_distance_sq", counting)
+    # boxes that touch reach the exact test, which finds the capsules touching
+    assert_audit(loose(a, (*far, 1.0)), 0)
+    assert rows == [1]
+    assert_audit(loose(a, (*near, 1.0)), 1)
+    # boxes a hair apart are pruned
+    rows.clear()
+    apart = [tuple(c + 1e-3 * (c > 5) for c in end) for end in far]
+    assert_audit(loose(a, (*apart, 1.0)), 0)
+    assert not any(rows)
+
+
+def test_audit_keeps_pairs_that_round_under_the_threshold():
+    # the boxes are 3 ulps apart along y (11.524333275678870 < ...881), yet
+    # the computed distance rounds under r_i + r_j: the box slack keeps the pair
+    model = loose(((431.57618373833577, -194.37492408090728, 1704.1735258898862),
+                   (675.9062581461163, 8.58298012455383, 1811.6644832565573),
+                   2.9413531511250413),
+                  ((675.9062581461163, 17.15923892331872, 1811.6644832565573),
+                   (783.3972155127875, 220.11714312877984, 1567.3344088487768),
+                   5.634905647639841), edge=2000.0)
+    a, b = model.fibers
+    assert a.p1[1] + a.radius < b.p0[1] - b.radius
+    assert_audit(model, 1)
+
+
+def test_audit_tied_x_min():
+    # all six boxes start at x = 4, with mixed radii
+    assert_audit(loose(((5, 0, 3), (5, 10, 3), 1.0),
+                       ((4.5, 0, 1.5), (4.5, 10, 1.5), 0.5),
+                       ((5, 0, 0), (5, 10, 0), 1.0),
+                       ((6, 0, 20), (6, 10, 20), 2.0),
+                       ((5, 10, 4.5), (5, 0, 4.5), 1.0),
+                       ((6, 5, -1), (6, 5, 9), 2.0)), 5)
+
+
+def test_audit_axis_parallel_fibers():
+    assert_audit(loose(((0, 5, 5), (10, 5, 5), 1.0),      # along x
+                       ((5, 0, 6.5), (5, 10, 6.5), 1.0),  # along y, 1.5 above it
+                       ((5.5, 5.5, 0), (5.5, 5.5, 10), 0.5),  # along z through both
+                       ((20, 5, 5), (20, 5, 15), 1.0),    # along z, apart
+                       ((0, 5, 5), (10, 5, 5), 1.0)), 6)  # a duplicate of the first
+
+
+def random_fibers(rng, n, edge, overlaps):
+    """n random fibers in a box of edge ``edge``, then ``overlaps`` shifted
+    copies of random ones."""
+    centers = rng.uniform(0, edge, (n, 3))
+    axes = rng.normal(size=(n, 3)) * rng.uniform(0.05 * edge, 0.3 * edge, (n, 1))
+    radii = rng.choice([0.5, 1.0, 2.5], n)
+    ends = [(c - a, c + a, r) for c, a, r in zip(centers, axes, radii)]
+    for k in rng.integers(0, n, overlaps):
+        shift = rng.normal(0, 0.5, 3)
+        ends.append((ends[k][0] + shift, ends[k][1] + shift, ends[k][2]))
+    return loose(*ends, edge=edge)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_audit_blocks_split_inside_one_run(block, monkeypatch):
+    model = random_fibers(np.random.default_rng(block), 40, 30.0, 10)
+    expected = oracle_audit(model)
+    assert expected["overlap_violations"] > 10
+    monkeypatch.setattr(fibermod, "_AUDIT_PAIRS", block)
+    assert audit_model(model) == expected
+    assert_audit(loose(((5, 0, 3), (5, 10, 3), 1.0), ((5, 0, 0), (5, 10, 0), 1.0),
+                       ((5, 0, 1.5), (5, 10, 1.5), 1.0), ((5, 0, 4.5), (5, 10, 4.5), 1.0),
+                       ((5, 0, 6), (5, 10, 6), 1.0)), 4)
+
+
+# quarter-micrometer grid values make ties, touching boxes and exactly
+# touching capsules common
+COORD = st.one_of(st.integers(0, 80).map(lambda v: v / 4),
+                  st.floats(0.0, 20.0, allow_nan=False))
+
+
+@st.composite
+def fiber_lists(draw):
+    ends = []
+    for _ in range(draw(st.integers(0, 24))):
+        r = draw(st.sampled_from([0.25, 0.5, 1.0, 2.5]))
+        if ends and draw(st.booleans()):  # a shifted copy of an earlier fiber
+            p0, p1, _ = ends[draw(st.integers(0, len(ends) - 1))]
+            shift = np.array([draw(st.integers(-4, 4)) / 4 for _ in range(3)])
+            ends.append((p0 + shift, p1 + shift, r))
+            continue
+        p0 = np.array([draw(COORD) for _ in range(3)])
+        axis = draw(st.sampled_from([None, 0, 1, 2]))
+        if axis is None:
+            p1 = np.array([draw(COORD) for _ in range(3)])
+        else:
+            p1 = p0.copy()
+            p1[axis] = draw(COORD)
+        if np.linalg.norm(p1 - p0) < 0.25:
+            p1[0] += 1.0
+        ends.append((p0, p1, r))
+    return ends
+
+
+@settings(max_examples=200, deadline=None)
+@given(fiber_lists(), st.sampled_from([1, 2, 3, 7, fibermod._AUDIT_PAIRS]))
+def test_audit_equals_oracle(ends, block):
+    model = loose(*ends, edge=20.0)
+    with mock.patch.object(fibermod, "_AUDIT_PAIRS", block):
+        assert audit_model(model) == oracle_audit(model)
+
+
+def test_audit_memory_is_bounded_by_the_block():
+    # 3 000 unpacked table1-like fibers: 1.08 M box pairs meet along x,
+    # 8.7 MB for each int64 array of all of them at once
+    rng = np.random.default_rng(5)
+    n = 3000
+    centers = rng.uniform(0, 2000, (n, 3))
+    axes = rng.normal(size=(n, 3))
+    axes *= rng.normal(250, 50, (n, 1)) / np.linalg.norm(axes, axis=1, keepdims=True)
+    model = FiberModel(params=ModelParams(), fibers=[
+        fiber(k + 1, c - a, c + a, 6.5) for k, (c, a) in enumerate(zip(centers, axes))])
+    tracemalloc.start()
+    try:
+        audit = audit_model(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit["overlap_violations"] > 0
+    assert peak < 4e6
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(os.environ.get("FIBERVOX_SLOW") != "1",
+                    reason="set FIBERVOX_SLOW=1 to pack table1 (~20 s) and audit it both ways")
+def test_table1_audit_equals_oracle():
+    params = PipelineConfig.load(REPO / "configs" / "table1.json").model_params()
+    model = generate_model(params)
+    assert len(model.fibers) == 6509
+    assert audit_model(model) == oracle_audit(model) \
+        == {"overlap_violations": 0, "out_of_bounds": 0}
+    rng = np.random.default_rng(0)
+    planted = [fiber(len(model.fibers) + k + 1, f.p0 + shift, f.p1 + shift, f.radius)
+               for k, (f, shift) in enumerate(zip(rng.choice(model.fibers, 200),
+                                                  rng.normal(0, 5, (200, 3))))]
+    model.fibers += planted
+    audit = audit_model(model)
+    assert audit == oracle_audit(model)
+    assert audit["overlap_violations"] >= 200
 
 
 # ---------------------------------------------------------------- statistics

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -173,3 +174,18 @@ def test_export_stl_equals_per_fiber_cylinders(sides):
                                 for f in m.fibers])
     assert tris.dtype == alone.dtype == reference.dtype == np.float32
     assert tris.tobytes() == alone.tobytes() == reference.tobytes()
+
+
+def test_export_stl_peak_memory_below_three_payloads():
+    # the records are filled in the returned buffer: no whole-payload copies
+    rng = np.random.default_rng(0)
+    ends = rng.uniform(0.0, 100.0, (500, 2, 3))
+    fibers = [Fiber(k + 1, p0, p1, 2.0) for k, (p0, p1) in enumerate(ends)]
+    tracemalloc.start()
+    try:
+        blob = export_stl(fibers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blob) == 84 + 50 * 96 * 500
+    assert peak < 3 * len(blob)
