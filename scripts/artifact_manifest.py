@@ -2,13 +2,14 @@
 
     python scripts/artifact_manifest.py DIR [--config FILE]
 
-``DIR/desk`` gets the README desk chain at the default config plus
-``annotate --from-fibers``, ``segment --orientation`` and ``stats
---labels``/``--fibers``; ``--config FILE`` passes that config to every step
-of this chain, e.g. ``configs/table1.json`` for the 241^3 production scale
-(about 70 s and 1.2 GB peak RSS on a 2-core host). ``DIR/tiny`` gets the
-24^3 chain of ``tests/test_determinism.py``, including ``fbp
---dump-sinograms``. Each chain also keeps its stages' stdout in ``summaries.txt``. The output is one
+``DIR/desk`` gets the README desk chain at the default config plus ``fbp``
+of the attenuation volume (400 angles), ``annotate --from-fibers``,
+``segment --orientation`` and ``stats --labels``/``--fibers``; ``--config
+FILE`` passes that config to every step of this chain, e.g.
+``configs/table1.json`` for the 241^3 production scale (80-100 s and
+1.2 GB peak RSS on a 2-core host). ``DIR/tiny`` gets the 24^3 chain of
+``tests/test_determinism.py``, including ``fbp --dump-sinograms``. Each chain
+also keeps its stages' stdout in ``summaries.txt``. The output is one
 ``sha256  path`` line per file, sorted by path, so a refactor that must keep
 every artifact byte-identical is checked by running this on both commits and
 comparing the two outputs. The script exits nonzero, printing no manifest, if
@@ -38,6 +39,7 @@ def desk_chain(d: Path, config: str | None = None) -> list[str]:
         ("generate", "--out-dir", d, "--audit"),
         ("rasterize", "--fibers", d / "fibers.csv", "--out-dir", d),
         ("degrade", "--input", d / "atten", "--output", d / "gray"),
+        ("fbp", "--input", d / "atten", "--output", d / "recon"),
         ("annotate", "--gray", d / "gray", "--from-fibers", d / "fibers.csv",
          "--output", d / "anno"),
         ("segment", "--input", d / "gray", "--out-dir", d, "--orientation", d / "orient"),

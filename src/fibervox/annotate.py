@@ -12,6 +12,7 @@ neighbors of the voxels claimed in the round before.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,6 +122,8 @@ def region_grow(gray: Volume, seeds: LabelVolume, threshold: float) -> LabelVolu
     if gray.grid != seeds.grid:
         raise ValueError(
             f"grid mismatch: gray {gray.grid.dims} vs seeds {seeds.grid.dims}")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     # One unclaimable voxel of padding on each side keeps neighbor indices in range.
     shape = tuple(n + 2 for n in seeds.grid.dims)
     inner = (slice(1, -1),) * 3

@@ -221,11 +221,6 @@ class Sinogram:
         return self.data.shape[1]
 
 
-# Ray samples per forward-projection chunk. Four weights per sample keep a
-# chunk's matrix at a few MB, and chunks this small run faster than large ones.
-_RAY_SAMPLES = 1 << 16
-
-
 def _angles(n_angles: int) -> np.ndarray:
     _check_number("n_angles", n_angles, low=1, strict=False, integer=True)
     return np.arange(n_angles) * math.pi / n_angles
@@ -250,9 +245,9 @@ def _project(stack: np.ndarray, angles: np.ndarray) -> np.ndarray:
     an (nz, n_angles, n_det) array, n_det = max(nx, ny).
 
     A ray sums n_det bilinear samples spaced one pixel apart; samples outside
-    the slice are zero. Each chunk of angles builds one CSR matrix of these
-    weights (rows: angle x detector, columns: the nx*ny pixels) and applies
-    it to all slices at once.
+    the slice are zero. Each angle builds one CSR matrix of these weights
+    (rows: detectors, columns: the nx*ny pixels) and applies it to all slices
+    at once.
     """
     # Imported here, not at the top: every other stage would pay its import
     # time and memory without using it.
@@ -264,26 +259,21 @@ def _project(stack: np.ndarray, angles: np.ndarray) -> np.ndarray:
     # Ray sample (s, t): s along the detector, t along the ray; both take the
     # same n_det offsets.
     s = np.arange(n_det, dtype=np.float64) - (n_det - 1) / 2.0
+    # A ray's row holds the four bilinear corners of its samples, corner-major.
+    row_ptr = np.arange(0, 4 * n_det * n_det + 1, 4 * n_det, dtype=np.int32)
+    weights = np.empty((n_det, 4, n_det))
+    cols = np.empty((n_det, 4, n_det), dtype=np.int32)
     sino = np.empty((nz, len(angles), n_det))
-    step = max(1, _RAY_SAMPLES // n_det**2)
-    for a0 in range(0, len(angles), step):
-        theta = angles[a0:a0 + step]
+    for a, theta in enumerate(angles):
         # libm's cos and sin, as the backprojection uses; np.cos may round differently.
-        cos = np.array([math.cos(t) for t in theta])[:, None, None]
-        sin = np.array([math.sin(t) for t in theta])[:, None, None]
+        cos, sin = math.cos(theta), math.sin(theta)
         wx, ix = _axis_weights((nx - 1) / 2.0 + s[:, None] * cos - s * sin, nx)
         wy, iy = _axis_weights((ny - 1) / 2.0 + s[:, None] * sin + s * cos, ny)
-        # A ray's row holds the four bilinear corners of its samples, corner-major.
-        shape = (len(theta), n_det, 4, n_det)
-        weights = np.empty(shape)
-        cols = np.empty(shape, dtype=np.int32)
-        for c, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            np.multiply(wx[a], wy[b], out=weights[:, :, c])
-            np.add(ix[a] * ny, iy[b], out=cols[:, :, c])
-        rows = len(theta) * n_det
-        row_ptr = np.arange(0, 4 * n_det * rows + 1, 4 * n_det, dtype=np.int32)
-        rays = sparse.csr_array((weights.ravel(), cols.ravel(), row_ptr), shape=(rows, nx * ny))
-        sino[:, a0:a0 + len(theta)] = (rays @ pixels).reshape(-1, n_det, nz).transpose(2, 0, 1)
+        for c, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            np.multiply(wx[i], wy[j], out=weights[:, c])
+            np.add(ix[i] * ny, iy[j], out=cols[:, c])
+        rays = sparse.csr_array((weights.ravel(), cols.ravel(), row_ptr), shape=(n_det, nx * ny))
+        sino[:, a] = (rays @ pixels).T
     return sino
 
 

@@ -78,7 +78,7 @@ def dice(truth, pred) -> float:
     Values must be 0 or 1. Both masks empty returns 1.0 by convention.
     """
     a, b = _labelings(truth, pred)
-    if a.max(initial=0) > 1 or b.max(initial=0) > 1:
+    if any(x.min(initial=0) < 0 or x.max(initial=0) > 1 for x in (a, b)):
         raise ValueError("dice requires binary masks with values in {0, 1}")
     return _overlap(a, b)[0]
 

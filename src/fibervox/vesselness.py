@@ -11,12 +11,12 @@ sampled-Gaussian derivatives from one separable routine, :func:`_derivatives`:
 Memory and threads: both kernels run over x-slabs of whole y-z planes, about
 128 x 128 x 2 voxels, whose 256 KB float64 temporaries stay near a core's L2,
 on one worker thread per CPU the process may use (:func:`_each_slab`): first
-the Gaussian passes, with scipy's sums bit for bit (x and y in numpy, whose
-ufuncs release the GIL, z in scipy; see :func:`_derivatives` for why), then
-the per-voxel steps (sigma^2 scaling, eigensolves, magnitude sort, response).
-A kernel holds its six full-volume float64 components and its outputs plus a
-few slab temporaries per worker; the structure tensor's closed-form axis and
-its eigh fallback need no (..., 3, 3) stack beyond the fallback voxels. Peak
+the Gaussian passes, with scipy's sums bit for bit (x in numpy, y and z in
+scipy; see :func:`_derivatives` for why), then the per-voxel steps (sigma^2
+scaling, eigensolves, magnitude sort, response). A kernel holds its six
+full-volume float64 components and its outputs plus a few slab temporaries
+per worker; the structure tensor's closed-form axis and its eigh fallback
+need no (..., 3, 3) stack beyond the fallback voxels. Peak
 RSS of one standalone call on 2 CPUs (three Frangi scales; the structure
 tensor at sigma_g 1, rho 2), the workers' malloc arenas included: Frangi
 198 MB at 128^3 and 948 MB at 241^3, the structure tensor 215 MB and
@@ -125,9 +125,9 @@ def _reflect(start: int, stop: int, n: int) -> np.ndarray:
     return np.where(i < n, i, 2 * n - 1 - i)
 
 
-def _pass(padded: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+def _pass(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """float64 convolution of ``padded`` with an exactly symmetric or
-    antisymmetric ``kernel`` along ``axis``, which holds its r = len(kernel) // 2
+    antisymmetric ``kernel`` along axis 0, which holds its r = len(kernel) // 2
     halo samples on each side; the output drops them. The taps are summed in
     the order of scipy's ``NI_Correlate1D`` (correlation with the flipped
     kernel w): out = in * w[0], then for j = r ... 1,
@@ -138,15 +138,11 @@ def _pass(padded: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     symmetric = np.array_equal(w, w[::-1])
     assert symmetric or np.array_equal(w, -w[::-1]), "kernel is neither symmetric nor antisymmetric"
     pair = np.add if symmetric else np.subtract
-    n = padded.shape[axis] - 2 * r
-
-    def tap(j):
-        return padded[(slice(None),) * axis + (slice(r + j, r + j + n),)]
-
-    out = np.multiply(tap(0), w[r], dtype=np.float64)
+    n = len(padded) - 2 * r
+    out = np.multiply(padded[r:r + n], w[r], dtype=np.float64)
     pairs = np.empty_like(out)
     for j in range(r, 0, -1):
-        pair(tap(-j), tap(j), out=pairs, dtype=np.float64)
+        pair(padded[r - j:r - j + n], padded[r + j:r + j + n], out=pairs, dtype=np.float64)
         pairs *= w[r - j]
         out += pairs
     return out
@@ -159,30 +155,32 @@ def _derivatives(data: np.ndarray, sigma: float, orders) -> list[np.ndarray]:
 
     Each x-slab runs its whole cascade on a worker thread (:func:`_each_slab`):
     its planes plus an r-plane halo (a view, or a reflected copy at the grid
-    ends), one x pass per x order shared by its triples, then the y passes in
-    numpy (:func:`_pass`), whose ufuncs release the GIL, and the z passes by
-    ``ndimage.convolve1d`` into the output's slab: along the contiguous axis
-    scipy's loop beats numpy's, GIL and all. The input is made C-contiguous
-    once, since in the x-fastest views that ``read_volume`` returns every x
-    tap is a strided gather (6-9x slower at 128^3). Only the outputs are full
-    volumes.
+    ends), one x pass per x order shared by its triples in numpy
+    (:func:`_pass`), then the y and z passes by ``ndimage.convolve1d`` along
+    the slab's whole y and z lines, the z pass into the output's slab. The x
+    pass stays in numpy because the slab cuts the x lines: scipy would also
+    convolve the 2r halo planes and copy each short strided line into a
+    buffer, 4-16x the time of numpy's pass per slab at 128^3 and 241^3. The
+    input is made C-contiguous once, since in the x-fastest views that
+    ``read_volume`` returns every x tap is a strided gather (6-9x slower at
+    128^3). Only the outputs are full volumes.
     """
     kernels = [gaussian_kernel(sigma, k) for k in range(max(map(max, orders)) + 1)]
     r = len(kernels[0]) // 2
     data = np.ascontiguousarray(data)
-    nx, ny, _ = data.shape
-    y_halo = _reflect(-r, ny + r, ny)
+    nx = len(data)
     out = [np.empty(data.shape) for _ in orders]
 
     def cascade(sl):
         lo, hi = sl.start - r, min(sl.stop, nx) + r
         planes = data[lo:hi] if 0 <= lo and hi <= nx else data[_reflect(lo, hi, nx)]
         for kx in dict.fromkeys(o[0] for o in orders):
-            x_pass = _pass(planes, kernels[kx], 0)
+            x_pass = _pass(planes, kernels[kx])
             for i, o in enumerate(orders):
                 if o[0] == kx:
-                    ndimage.convolve1d(_pass(x_pass[:, y_halo], kernels[o[1]], 1),
-                                       kernels[o[2]], axis=2, output=out[i][sl], mode="reflect")
+                    y_pass = ndimage.convolve1d(x_pass, kernels[o[1]], axis=1, mode="reflect")
+                    ndimage.convolve1d(y_pass, kernels[o[2]], axis=2, output=out[i][sl],
+                                       mode="reflect")
 
     _each_slab(cascade, data.shape)
     return out
@@ -213,12 +211,10 @@ def _each_slab(fn, dims: tuple[int, int, int]) -> list:
     exception in slab order is raised here, the slabs not yet started are
     dropped, and every worker is joined before this returns.
 
-    numpy's ufuncs release the GIL, so slabs overlap; scipy's ``correlate1d``
-    does not, so a slab function keeps its scipy calls to the passes where
-    scipy's loop is faster anyway. ``fn`` writes only its own slab, calls no
-    public function (the benchmark's tracer wraps those, and its span stack
-    serves one thread) and sets any ``np.errstate`` itself, since that state
-    is per thread.
+    numpy's ufuncs and scipy's ``convolve1d`` release the GIL, so slabs
+    overlap. ``fn`` writes only its own slab, calls no public function (the
+    benchmark's tracer wraps those, and its span stack serves one thread) and
+    sets any ``np.errstate`` itself, since that state is per thread.
     """
     slabs = _slabs(dims)
     with ThreadPoolExecutor(min(_cpu_count(), len(slabs))) as pool:
@@ -258,7 +254,8 @@ def _smallest_eigenvector(a11, a22, a33, a12, a13, a23) -> np.ndarray:
     """Unit eigenvectors (..., 3) of the smallest eigenvalue lo of symmetric
     3x3 matrices given as to :func:`_eig3_symmetric`: the longest cross
     product of two rows of A - lo I (Kopp 2008). Where it is not longer than
-    1e-8 trace^2 (A = 0, a double lo, NaN), the rows do not fix the vector and
+    1e-8 trace^2 (A = 0, a double lo, NaN) or its square is subnormal, too
+    coarse to normalize it to 1, the rows do not fix the vector and
     ``np.linalg.eigh`` of just those matrices gives it."""
     lo = _eig3_symmetric(a11, a22, a33, a12, a13, a23)[0]
     r0, r1, r2 = (a11 - lo, a12, a13), (a12, a22 - lo, a23), (a13, a23, a33 - lo)
@@ -271,7 +268,7 @@ def _smallest_eigenvector(a11, a22, a33, a12, a13, a23) -> np.ndarray:
         best_sq = np.where(longer, sq, best_sq)
     norm = np.sqrt(best_sq)
     trace = a11 + a22 + a33
-    fixed = norm > 1e-8 * trace * trace
+    fixed = (norm > 1e-8 * trace * trace) & (best_sq >= np.finfo(np.float64).tiny)
     vectors = np.stack(best, axis=-1) / np.where(fixed, norm, 1.0)[..., None]
     if not fixed.all():
         tensor = np.stack([c[~fixed] for c in (a11, a12, a13, a12, a22, a23, a13, a23, a33)],

@@ -1,5 +1,5 @@
-"""Oracles for the slab FBP. The forward projector builds each angle's
-bilinear ray weights once and applies them to every z slice; the reference
+"""Oracles for the slab FBP. The forward projector builds one matrix of
+bilinear ray weights per angle and applies it to every z slice; the reference
 below is the per-slice ``map_coordinates`` projector it replaced, which sums
 each ray in another order, so the two agree to a relative 1e-12. The
 backprojection keeps one matrix per angle and must equal the masked
@@ -12,7 +12,6 @@ import pytest
 from scipy import ndimage
 from test_kernel_oracles import assert_bits_equal, fbp_reference
 
-from fibervox import ctsim
 from fibervox.ctsim import Sinogram, _backproject, _project, fbp_slice, radon_slice, simulate_fbp
 from fibervox.volume import GridSpec, Volume
 
@@ -81,20 +80,24 @@ def test_samples_on_the_last_row_and_column_count():
     assert got[0, :-1].tolist() == [2.0] * (n - 1)
 
 
-@pytest.mark.parametrize("ray_samples", [1, 50, 300])
-def test_stack_projector_over_several_chunks(monkeypatch, ray_samples):
-    # 1 and 50 samples give one angle per chunk; 300 gives three 100-sample
-    # angles per chunk and a short last chunk.
-    monkeypatch.setattr(ctsim, "_RAY_SAMPLES", ray_samples)
-    stack = np.random.default_rng(ray_samples).uniform(0.5, 2.0, size=(10, 7, 3))
+@pytest.mark.parametrize("nz", [1, 50, 300])
+def test_stack_projector_over_several_chunks(nz):
+    # Each angle's rays are one chunk: one matrix, applied to all nz slices
+    # in one product. Seven angles make seven chunks over a 10x7 slice
+    # (nx > ny, odd ny); nz runs from one slice to a deep slab.
+    stack = np.random.default_rng(nz).uniform(0.5, 2.0, size=(10, 7, nz))
     assert_close_to_reference(stack, uniform_angles(7))
 
 
-def test_stack_projector_at_the_default_chunk():
-    # 32^2 samples per angle: 64 angles per chunk, so 100 angles take two.
-    assert 100 * 32**2 > ctsim._RAY_SAMPLES >= 64 * 32**2
+def test_stack_projector_on_float32_slices():
     stack = np.random.default_rng(3).uniform(0.5, 2.0, size=(32, 32, 2)).astype(np.float32)
     assert_close_to_reference(stack, uniform_angles(100))
+
+
+def test_stack_projector_at_the_desk_grid():
+    # One 128^2 slice at the fbp stage's default 400 angles.
+    stack = np.random.default_rng(4).uniform(0.5, 2.0, size=(128, 128, 1)).astype(np.float32)
+    assert_close_to_reference(stack, uniform_angles(400))
 
 
 @pytest.mark.parametrize("n_angles, n_det, shape", [

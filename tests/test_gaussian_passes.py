@@ -22,7 +22,9 @@ SIGMAS = (0.47, 0.7, 1.0, 1.5, 2.5, 4.0)
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_pass_matches_convolve1d_on_every_line_length(sigma, order, axis):
     # Lengths 1 to 2r + 2: lines shorter than the radius reflect more than
-    # once, and 2r + 2 has interior samples that see no reflected tap.
+    # once, and 2r + 2 has interior samples that see no reflected tap. _pass
+    # runs along axis 0; the lines of ``axis`` are moved there as a view, so
+    # that their samples lie at every stride.
     kernel = gaussian_kernel(sigma, order)
     r = len(kernel) // 2
     rng = np.random.default_rng(23)
@@ -35,8 +37,9 @@ def test_pass_matches_convolve1d_on_every_line_length(sigma, order, axis):
                 data = layout(samples.astype(dtype))
                 want = ndimage.convolve1d(data, kernel, axis=axis, output=np.float64,
                                           mode="reflect")
-                got = _pass(np.take(data, _reflect(-r, n + r, n), axis=axis), kernel, axis)
-                assert_bits_equal(got, want)
+                padded = np.take(data, _reflect(-r, n + r, n), axis=axis)
+                got = _pass(np.moveaxis(padded, axis, 0), kernel)
+                assert_bits_equal(got, np.moveaxis(want, axis, 0))
 
 
 def test_reflect_repeats_with_period_twice_the_length():
@@ -48,7 +51,7 @@ def test_reflect_repeats_with_period_twice_the_length():
 
 def test_pass_refuses_a_kernel_neither_symmetric_nor_antisymmetric():
     with pytest.raises(AssertionError, match="neither symmetric nor antisymmetric"):
-        _pass(np.zeros((5, 2, 2)), np.array([0.25, 0.5, 0.3]), 0)
+        _pass(np.zeros((5, 2, 2)), np.array([0.25, 0.5, 0.3]))
 
 
 ORDERS = {

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fibervox.annotate import PolylineAnnotation, read_annotations
+from fibervox.annotate import PolylineAnnotation, read_annotations, region_grow
 from fibervox.ctsim import DegradeParams, radon_slice, rasterize_attenuation, simulate_fbp
 from fibervox.fibers import Fiber, FiberModel, ModelParams, read_fibers_csv
 from fibervox.mesh import export_stl
@@ -162,6 +162,16 @@ def test_annotate_cli_names_chain_whose_points_are_not_a_list(tmp_path, points):
     assert err.strip() == ("error stage=annotate: annotation 7 points must be a list "
                            f"of 3D points, got {points!r}")
     assert not (tmp_path / "anno.raw").exists()
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_region_grow_rejects_non_finite_threshold(threshold):
+    grid = GridSpec(dims=(3, 3, 3), voxel_size=1.0)
+    seeds = LabelVolume.zeros(grid)
+    seeds.data[1, 1, 1] = 1
+    with pytest.raises(ValueError) as err:
+        region_grow(Volume(grid=grid, data=np.ones(grid.dims)), seeds, threshold)
+    assert str(err.value) == f"threshold must be finite, got {threshold}"
 
 
 CSV_HEADER = "id,x0,y0,z0,x1,y1,z1,radius_um\n"

@@ -51,6 +51,12 @@ def test_dice_rejects_nonbinary():
         dice([0, 2], [0, 1])
 
 
+@pytest.mark.parametrize("truth, pred", [([-1, 0, 1], [1, 0, 1]), ([1, 0, 1], [1, 0, -1])])
+def test_dice_rejects_negative_labels(truth, pred):
+    with pytest.raises(ValueError, match="binary"):
+        dice(truth, pred)
+
+
 def test_dice_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         dice(np.zeros((2, 2)), np.zeros((2, 3)))
