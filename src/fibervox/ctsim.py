@@ -1,5 +1,5 @@
-"""CT simulation: one walk over a fiber model gives its label volume and its
-attenuation volume (:func:`rasterize`), from which gray-value volumes follow.
+"""CT simulation: one walk over a fiber model, plane by plane along each fiber,
+gives its label and attenuation volumes (:func:`rasterize`); gray values follow.
 
 Two gray-value routes exist. The fast route rasterizes attenuation with
 sub-voxel supersampling and degrades it with Gaussian blur plus SNR-matched
@@ -76,6 +76,33 @@ def _capsule_boxes(fibers, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return first, last
 
 
+def _runs(starts, lengths):
+    """``starts[i] + (0, 1, ..., lengths[i] - 1)`` for every i, concatenated."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _capsule_voxels(p0, axis, reach, lo, hi, grid: GridSpec):
+    """Flat indices and centers (x, y, z) of the voxels of the box lo..hi whose
+    center may lie within ``reach`` of the segment p0 + t*axis: across the
+    dominant axis k, each plane's rectangle around the points at t in clip((c_k
+    -/+ reach - p0_k) / axis_k, 0, 1), +/- reach and a voxel against rounding."""
+    h = grid.voxel_size
+    k = int(np.argmax(np.abs(axis)))
+    u, v = (a for a in range(3) if a != k)
+    planes = np.arange(lo[k], hi[k] + 1)
+    t = np.clip(((planes[:, None] + 0.5) * h + (-reach, reach) - p0[k]) / axis[k], 0.0, 1.0)
+    ends = p0 + t[:, :, None] * axis
+    first = np.maximum(np.ceil((ends.min(axis=1) - reach) / h - 0.5).astype(int) - 1, lo)
+    last = np.minimum(np.floor((ends.max(axis=1) + reach) / h - 0.5).astype(int) + 1, hi)
+    sizes = np.maximum(last - first + 1, 0)
+    row = np.repeat(np.arange(len(planes)), sizes[:, u])
+    run = sizes[row, v]
+    idx = {k: np.repeat(planes[row], run), v: _runs(first[row, v], run),
+           u: np.repeat(_runs(first[:, u], sizes[:, u]), run)}
+    idx = [idx[a] for a in range(3)]
+    return np.ravel_multi_index(idx, grid.dims), [(i + 0.5) * h for i in idx]
+
+
 def fibers_outside(fibers, grid: GridSpec) -> int:
     """The number of fibers whose capsule's bounding box misses the grid: the
     fibers that rasterization skips."""
@@ -100,9 +127,10 @@ def rasterize(m: FiberModel, grid: GridSpec, supersample: int | None = None,
     sub-lattice inside any capsule: exactly the fiber level in fully covered
     voxels, exactly the matrix level in untouched ones. ``supersample`` is an
     integer from 1 to 40 (the counts are uint16); both ``levels`` (fiber,
-    matrix) must be finite, the fiber level the higher. A fiber sub-samples
-    only the voxels whose center lies within r + half a voxel diagonal of its
-    axis; no sub-lattice point of another voxel lies within r."""
+    matrix) must be finite, the fiber level the higher, and fiber ids fit in
+    uint32. Per plane across its dominant axis, a fiber tests the rectangle of
+    voxels whose center can lie within R = r + half a voxel diagonal of its
+    axis and sub-samples those within R; no other has a sub-sample within r."""
     if supersample is not None:
         _check_number("supersample", supersample, low=1, strict=False, integer=True)
         if supersample > 40:  # 40**3 sub-samples still fit the uint16 counts
@@ -117,51 +145,48 @@ def rasterize(m: FiberModel, grid: GridSpec, supersample: int | None = None,
     if any(e + 1e-9 * box_edge < box_edge for e in grid.extent):
         raise ValueError(
             f"grid extent {grid.extent} um does not cover the model box edge {box_edge} um")
+    fibers = sorted(m.fibers, key=lambda f: f.id)
+    if fibers and fibers[-1].id > np.iinfo(np.uint32).max:
+        raise ValueError(f"fiber id {fibers[-1].id} does not fit the u32 labels")
     h = grid.voxel_size
     labels = LabelVolume.zeros(grid)
+    label_cells = labels.data.reshape(-1)  # a view: the volumes are C-ordered
     conflicts = 0
     counts = None
     if supersample is not None:
         s3 = supersample**3
-        counts = np.zeros(grid.dims, dtype=np.uint16)
+        counts = np.zeros(grid.voxel_count, dtype=np.uint16)
         # Sub-lattice offsets within a voxel along x, y and z, each (s3, 1).
         sub = ((np.arange(supersample, dtype=np.float64) + 0.5) / supersample - 0.5) * h
         offsets = [o.reshape(-1, 1) for o in np.meshgrid(sub, sub, sub, indexing="ij")]
         chunk = max(1, _SUBSAMPLES // s3)
     half_diag = 0.5 * h * math.sqrt(3.0)
-    fibers = sorted(m.fibers, key=lambda f: f.id)
     first, last = _capsule_boxes(fibers, grid)
     for fiber, lo, hi in zip(fibers, first.tolist(), last.tolist()):
-        if any(a > b for a, b in zip(lo, hi)):
-            continue
-        box = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
         p0, axis = fiber.p0, fiber.p1 - fiber.p0
         inv_len_sq = 1.0 / float(axis @ axis)
-        cx, cy, cz = ((np.arange(a, b + 1, dtype=np.float64) + 0.5) * h for a, b in zip(lo, hi))
-        d2 = _segment_point_dist_sq(p0, axis, inv_len_sq,
-                                    cx[:, None, None], cy[None, :, None], cz[None, None, :])
-        inside = d2 <= fiber.radius**2
-        region = labels.data[box]
-        taken = region != 0
-        conflicts += int(np.count_nonzero(inside & taken))
-        region[inside & ~taken] = fiber.id
+        flat, centers = _capsule_voxels(p0, axis, fiber.radius + half_diag, lo, hi, grid)
+        d2 = _segment_point_dist_sq(p0, axis, inv_len_sq, *centers)
+        inside = flat[d2 <= fiber.radius**2]
+        taken = label_cells[inside] != 0
+        conflicts += int(np.count_nonzero(taken))
+        label_cells[inside[~taken]] = fiber.id
         if counts is None:
             continue
-        box_counts = counts[box]
-        # Flat indices first: a 3-d nonzero costs several times as much.
-        near = np.unravel_index(np.flatnonzero(d2 < (fiber.radius + half_diag)**2), d2.shape)
-        for c0 in range(0, len(near[0]), chunk):
-            idx = tuple(i[c0:c0 + chunk] for i in near)
-            px, py, pz = (c[i] + o for c, i, o in zip((cx, cy, cz), idx, offsets))
+        near = np.flatnonzero(d2 < (fiber.radius + half_diag)**2)
+        for c0 in range(0, len(near), chunk):
+            voxels = near[c0:c0 + chunk]
+            px, py, pz = (c[voxels] + o for c, o in zip(centers, offsets))
             n_in = (_segment_point_dist_sq(p0, axis, inv_len_sq, px, py, pz)
                     <= fiber.radius**2).sum(axis=0)
-            box_counts[idx] = np.minimum(box_counts[idx] + n_in, s3)
+            cells = flat[voxels]
+            counts[cells] = np.minimum(counts[cells] + n_in, s3)
     if counts is None:
         return labels, conflicts, None
     # matrix + (fiber - matrix) * counts / s3 in float64 one x plane at a time:
     # a whole-volume float64 temporary beside the labels would set the peak.
     atten = np.empty(grid.dims, dtype=np.float32)
-    for plane, out in zip(counts, atten):
+    for plane, out in zip(counts.reshape(grid.dims), atten):
         value = np.divide(plane, s3, dtype=np.float64)
         value *= fiber_value - matrix_value
         value += matrix_value
@@ -193,16 +218,16 @@ def degrade(v: Volume, p: DegradeParams) -> Volume:
     drawn from a counter-based generator keyed on noise_seed, so the output is
     schedule-independent and reproducible.
     """
-    data = v.data.astype(np.float64)
     sigma_vox = p.psf_sigma / v.grid.voxel_size
-    blurred = ndimage.gaussian_filter(data, sigma=sigma_vox, mode="reflect")
+    blurred = ndimage.gaussian_filter(v.data.astype(np.float64), sigma=sigma_vox, mode="reflect")
     matrix_region = v.data == np.float32(p.matrix_value)
     reference = float(blurred[matrix_region].mean()) if matrix_region.any() \
         else float(blurred.mean())
     std = abs(reference) / p.snr
     rng = np.random.Generator(np.random.Philox(p.noise_seed))
-    noisy = blurred + rng.normal(0.0, std, size=blurred.shape) if std > 0 else blurred
-    return Volume(grid=v.grid, data=noisy.astype(np.float32))
+    if std > 0:
+        blurred += rng.normal(0.0, std, size=blurred.shape)
+    return Volume(grid=v.grid, data=blurred.astype(np.float32))
 
 
 @dataclass

@@ -107,7 +107,7 @@ def test_rasterize_walks_each_fiber_box_once(tmp_path, monkeypatch):
     distance_sq = ctsim._segment_point_dist_sq
 
     def counting(p0, axis, inv_len_sq, px, py, pz):
-        if np.ndim(px) == 3:  # a fiber's box, not a chunk of its sub-samples
+        if np.ndim(px) == 1:  # a fiber's voxel walk, not a chunk of its sub-samples
             boxes.append(tuple(p0.tolist()))
         return distance_sq(p0, axis, inv_len_sq, px, py, pz)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,23 @@ def test_degrade_deterministic_per_seed():
     c = degrade(v, DegradeParams(psf_sigma=1.0, snr=15.0, noise_seed=10))
     np.testing.assert_array_equal(a.data, b.data)
     assert (a.data != c.data).any()
+
+
+@pytest.mark.parametrize("snr", [20.0, math.inf], ids=["noisy", "noiseless"])
+def test_degrade_holds_at_most_two_float64_volumes(snr):
+    # The blurred volume and one noise draw, counted by tracemalloc in units of
+    # one volume-size float64 array; a float64 copy of the input kept past the
+    # blur, or a noisy sum beside the blurred volume, would add a third.
+    data = np.full((48, 48, 48), 1.31, np.float32)
+    data[10:30, 10:30] = 2.54
+    v = Volume(GridSpec(data.shape, 1.0), data)
+    tracemalloc.start()
+    try:
+        degrade(v, DegradeParams(psf_sigma=2.0, snr=snr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * data.size) < 2.5, f"{peak / (8 * data.size):.2f} volumes"
 
 
 def test_degrade_params_validation():

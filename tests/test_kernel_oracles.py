@@ -5,21 +5,29 @@ clip, the Hessian eigenvalues from 18 independent convolution passes, one
 full-volume eigensolve and a lexsort, the structure tensor filled entry by
 entry, and for both rasterizers a brute force that tests every sub-lattice
 point of every voxel against every fiber, with no bounding box and no
-core/shell shortcut. The segment kernels run over slabs of whole y-z planes; their
-cases shrink the slab so that grids of a few voxels span several slabs."""
+core/shell shortcut, beside the box walk that tested every voxel center of a
+fiber's bounding box, for models too large for the brute force. The segment
+kernels run over slabs of whole y-z planes; their cases shrink the slab so
+that grids of a few voxels span several slabs."""
 
 import itertools
 import math
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from fibervox import ctsim, vesselness
 from fibervox.ctsim import (Sinogram, _ramlak_filter, _ramlak_ramp, fbp_slice, rasterize,
                             rasterize_attenuation, rasterize_labels)
-from fibervox.fibers import EPOXY_DENSITY, Fiber, FiberModel, ModelParams, hemisphere
+from fibervox.config import PipelineConfig
+from fibervox.fibers import (EPOXY_DENSITY, GLASS_DENSITY, Fiber, FiberModel, ModelParams,
+                             generate_model, hemisphere)
 from fibervox.vesselness import (EigenField, ScaleSet, VesselnessParams, _divide_nonzero,
                                  _eig3_symmetric, _sort_by_magnitude,
                                  frangi_multiscale, frangi_response, gaussian_kernel,
@@ -437,7 +445,7 @@ _THIN_MODEL = FiberModel(
 
 
 def test_rasterize_labels_allocates_no_count_volume():
-    # Besides the uint32 labels, the walk needs only the fiber's small box,
+    # Besides the uint32 labels, the walk needs only the voxels near the fiber,
     # well under half of a uint16 count volume.
     tracemalloc.start()
     try:
@@ -475,3 +483,155 @@ def test_rasterize_in_small_chunks_gives_the_same_volumes(monkeypatch):
         monkeypatch.setattr(ctsim, "_SUBSAMPLES", subsamples)
         assert_bits_equal(rasterize_attenuation(model, _OVERLAP_GRID).data, atten)
         assert_bits_equal(rasterize_labels(model, _OVERLAP_GRID)[0].data, labels)
+
+
+# ------------------------------------------------------------ the per-plane walk
+
+
+def box_walk(m, grid, supersample=None, levels=(GLASS_DENSITY, EPOXY_DENSITY)):
+    """``rasterize`` as it was before the per-plane walk: every fiber tests
+    every voxel center of its capsule's bounding box, broadcast over the box,
+    and sub-samples the voxels within r + half a voxel diagonal of its axis."""
+    h = grid.voxel_size
+    labels = np.zeros(grid.dims, dtype=np.uint32)
+    conflicts = 0
+    counts = None if supersample is None else np.zeros(grid.dims, dtype=np.int64)
+    if supersample is not None:
+        s3 = supersample**3
+        sub = ((np.arange(supersample, dtype=np.float64) + 0.5) / supersample - 0.5) * h
+        offsets = [o.reshape(-1, 1) for o in np.meshgrid(sub, sub, sub, indexing="ij")]
+    half_diag = 0.5 * h * math.sqrt(3.0)
+    fibers = sorted(m.fibers, key=lambda f: f.id)
+    first, last = ctsim._capsule_boxes(fibers, grid)
+    for fiber, lo, hi in zip(fibers, first.tolist(), last.tolist()):
+        if any(a > b for a, b in zip(lo, hi)):
+            continue
+        box = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+        p0, axis = fiber.p0, fiber.p1 - fiber.p0
+        inv_len_sq = 1.0 / float(axis @ axis)
+        cx, cy, cz = ((np.arange(a, b + 1, dtype=np.float64) + 0.5) * h for a, b in zip(lo, hi))
+        d2 = ctsim._segment_point_dist_sq(p0, axis, inv_len_sq,
+                                          cx[:, None, None], cy[None, :, None], cz[None, None, :])
+        inside = d2 <= fiber.radius**2
+        region = labels[box]
+        taken = region != 0
+        conflicts += int(np.count_nonzero(inside & taken))
+        region[inside & ~taken] = fiber.id
+        if counts is None:
+            continue
+        near = np.nonzero(d2 < (fiber.radius + half_diag)**2)
+        px, py, pz = (c[i] + o for c, i, o in zip((cx, cy, cz), near, offsets))
+        n_in = (ctsim._segment_point_dist_sq(p0, axis, inv_len_sq, px, py, pz)
+                <= fiber.radius**2).sum(axis=0)
+        box_counts = counts[box]
+        box_counts[near] = np.minimum(box_counts[near] + n_in, s3)
+    if counts is None:
+        return labels, conflicts, None
+    fiber_value, matrix_value = levels
+    atten = matrix_value + (fiber_value - matrix_value) * (counts / s3)
+    atten[counts == s3] = fiber_value
+    return labels, conflicts, atten.astype(np.float32)
+
+
+def assert_equals_box_walk(model, grid, supersample):
+    labels, conflicts, atten = rasterize(model, grid, supersample)
+    want_labels, want_conflicts, want_atten = box_walk(model, grid, supersample)
+    assert_bits_equal(labels.data, want_labels)
+    assert conflicts == want_conflicts
+    if supersample is None:
+        assert atten is None
+    else:
+        assert_bits_equal(atten.data, want_atten)
+
+
+@pytest.mark.parametrize("supersample", [None, 1, 3])
+def test_rasterize_equals_box_walk_on_a_packed_model(supersample):
+    model = generate_model(ModelParams(box_edge=96.0, radius=3.0, mean_length=60.0,
+                                       length_stddev=15.0, target_fraction=0.12,
+                                       max_attempts=3000, seed=3))
+    assert len(model.fibers) > 50
+    assert_equals_box_walk(model, GridSpec((48, 48, 48), 2.0), supersample)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(os.environ.get("FIBERVOX_SLOW") != "1",
+                    reason="set FIBERVOX_SLOW=1 to pack table1 (~20 s) and rasterize it both ways")
+def test_table1_rasterize_equals_box_walk():
+    cfg = PipelineConfig.load(Path(__file__).resolve().parents[1] / "configs" / "table1.json")
+    model = generate_model(cfg.model_params())
+    assert len(model.fibers) == 6509 and cfg.grid_spec().dims == (241, 241, 241)
+    assert_equals_box_walk(model, cfg.grid_spec(), 3)
+
+
+@st.composite
+def walk_cases(draw, dominant):
+    """A fiber and a grid of 1-10 voxels a side. The fiber is axis-aligned, has
+    one zero component, is exactly diagonal, oblique, shorter than a voxel, or
+    has a radius past the grid; its first end lies up to half the grid outside."""
+    dims = tuple(draw(st.integers(1, 10)) for _ in range(3))
+    h = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    extent = max(dims) * h
+    kind = draw(st.sampled_from(["axis", "one zero", "diagonal", "oblique", "short", "fat"]))
+    direction = [draw(st.floats(0.0, 1.0)) for _ in range(3)]
+    direction[dominant] = 1.0
+    if kind == "axis":
+        direction = [float(a == dominant) for a in range(3)]
+    elif kind == "one zero":
+        direction[draw(st.sampled_from([a for a in range(3) if a != dominant]))] = 0.0
+    elif kind == "diagonal":
+        direction = [1.0, 1.0, 1.0]
+    signs = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(3)])
+    length = h * draw(st.floats(0.05, 0.95)) if kind == "short" \
+        else draw(st.floats(h, 2.0 * extent))
+    axis = signs * np.array(direction) / math.sqrt(sum(a * a for a in direction)) * length
+    if kind == "diagonal":
+        axis = signs * (length / math.sqrt(3.0))
+    radius = draw(st.floats(extent, 2.0 * extent)) if kind == "fat" \
+        else h * draw(st.floats(0.05, 2.0))
+    p0 = np.array([draw(st.floats(-0.5, 1.5)) * n * h for n in dims])
+    return GridSpec(dims, h), Fiber(1, p0, p0 + axis, radius)
+
+
+@pytest.mark.parametrize("dominant", [0, 1, 2], ids=["x", "y", "z"])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_walk_covers_every_box_voxel_within_reach(dominant, data):
+    grid, fiber = data.draw(walk_cases(dominant))
+    h = grid.voxel_size
+    reach = fiber.radius + 0.5 * h * math.sqrt(3.0)
+    first, last = ctsim._capsule_boxes([fiber], grid)
+    lo, hi = first[0].tolist(), last[0].tolist()
+    axis = fiber.p1 - fiber.p0
+    flat, centers = ctsim._capsule_voxels(fiber.p0, axis, reach, lo, hi, grid)
+    assert len(np.unique(flat)) == len(flat)
+    idx = np.unravel_index(flat, grid.dims)
+    for i, c, a, b in zip(idx, centers, lo, hi):
+        assert ((a <= i) & (i <= b)).all()
+        assert_bits_equal(c, (i + 0.5) * h)
+    if any(a > b for a, b in zip(lo, hi)):
+        return
+    cx, cy, cz = ((np.arange(a, b + 1) + 0.5) * h for a, b in zip(lo, hi))
+    d2 = ctsim._segment_point_dist_sq(fiber.p0, axis, 1.0 / float(axis @ axis),
+                                      cx[:, None, None], cy[None, :, None], cz[None, None, :])
+    within = np.ravel_multi_index(
+        tuple(i + a for i, a in zip(np.nonzero(d2 <= reach**2), lo)), grid.dims)
+    assert np.isin(within, flat).all()
+
+
+def test_walk_tests_under_a_tenth_of_a_diagonal_fibers_box(monkeypatch):
+    rows = []
+    distance_sq = ctsim._segment_point_dist_sq
+
+    def counting(p0, axis, inv_len_sq, px, py, pz):
+        rows.append(np.broadcast(px, py, pz).size)
+        return distance_sq(p0, axis, inv_len_sq, px, py, pz)
+
+    monkeypatch.setattr(ctsim, "_segment_point_dist_sq", counting)
+    grid = GridSpec((64, 64, 64), 1.0)
+    fiber = Fiber(1, (0.5, 0.5, 0.5), (63.5, 63.5, 63.5), 1.5)
+    first, last = ctsim._capsule_boxes([fiber], grid)
+    box = int(np.prod(last[0] - first[0] + 1))
+    assert box == 64**3
+    labels, _ = rasterize_labels(FiberModel(params=_THIN_MODEL.params, fibers=[fiber]), grid)
+    assert np.count_nonzero(labels.data) > 64 * 7
+    assert len(rows) == 1 and rows[0] < 0.1 * box, f"{rows} rows for a {box}-voxel box"

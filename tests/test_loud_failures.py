@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from fibervox.annotate import PolylineAnnotation, read_annotations, region_grow
-from fibervox.ctsim import DegradeParams, radon_slice, rasterize_attenuation, simulate_fbp
+from fibervox.ctsim import (DegradeParams, radon_slice, rasterize, rasterize_attenuation,
+                            simulate_fbp)
 from fibervox.fibers import Fiber, FiberModel, ModelParams, read_fibers_csv
 from fibervox.mesh import export_stl
 from fibervox.metrics import _pair_count_sum
@@ -517,6 +518,38 @@ def test_rasterize_cli_caps_supersample_before_labeling(tmp_path, monkeypatch):
                              "--set", "raster.supersample=41", "--out-dir", str(tmp_path))
     assert code == 1 and out == ""
     assert err.strip() == "error stage=rasterize: supersample must be <= 40, got 41"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fibers.csv", "tiny.json"]
+
+
+@pytest.mark.parametrize("p0, p1", [((20, 20, 20), (40, 20, 20)), ((-90, 0, 0), (-50, 0, 0))],
+                         ids=["on-grid", "off-grid"])
+def test_rasterize_rejects_fiber_id_past_u32_before_the_walk(p0, p1, monkeypatch):
+    model = FiberModel(ModelParams(box_edge=80.0, radius=6.5),
+                       [Fiber(3, (60, 60, 60), (70, 60, 60), 6.5), Fiber(2**32, p0, p1, 6.5)])
+    grid = GridSpec((16, 16, 16), 5.0)
+    monkeypatch.setattr("fibervox.ctsim._capsule_boxes", _filter_must_not_run)
+    for supersample in (None, 3):
+        with pytest.raises(ValueError, match="^fiber id 4294967296 does not fit the u32 labels$"):
+            rasterize(model, grid, supersample)
+
+
+def test_rasterize_takes_the_largest_u32_fiber_id():
+    model = FiberModel(ModelParams(box_edge=80.0, radius=6.5),
+                       [Fiber(2**32 - 1, (20, 20, 20), (40, 20, 20), 6.5)])
+    labels, _, _ = rasterize(model, GridSpec((16, 16, 16), 5.0))
+    assert labels.data.max() == 2**32 - 1
+
+
+def test_rasterize_cli_rejects_fiber_id_past_u32(tmp_path):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    path = tmp_path / "fibers.csv"
+    path.write_text(CSV_HEADER + "3,20,20,20,40,20,20,6.5\n4294967296,20,60,60,60,60,60,6.5\n")
+    code, out, err = run_cli("rasterize", "--config", str(cfg), "--fibers", str(path),
+                             "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.strip() == ("error stage=rasterize: "
+                           "fiber id 4294967296 does not fit the u32 labels")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fibers.csv", "tiny.json"]
 
 
