@@ -5,8 +5,9 @@ resumed: generate -> rasterize -> degrade/fbp -> annotate -> segment ->
 evaluate -> stats. Every stage prints a one-line JSON summary on success and
 ``error stage=<name>: <message>`` on stderr with a nonzero exit otherwise.
 Every artifact is written to a temporary file and moved into place with
-``os.replace``. A failed stage removes the files it wrote, and never one it
-failed to replace; so does a stage stopped by Ctrl-C or SIGTERM.
+``os.replace``, and recorded in the list ``main`` sets in ``volume.WRITTEN``.
+A failed stage removes the recorded files, and never one it failed to
+replace; so does a stage stopped by Ctrl-C or SIGTERM.
 """
 
 from __future__ import annotations
@@ -29,32 +30,16 @@ from .mesh import write_stl
 from .metrics import evaluate
 from .vesselness import (binarize, check_binarize, check_orientation, connected_components,
                          frangi_multiscale, structure_tensor_orientation, write_orientation_field)
-from .volume import (FORMAT_VERSION, LabelVolume, Volume, _check_number, read_volume, write_files,
-                     write_volume)
+from .volume import (FORMAT_VERSION, WRITTEN, LabelVolume, Volume, _check_number, read_volume,
+                     write_files, write_volume)
 
 
-class _Outputs:
-    """Tracks the files a stage has written so a failure can remove them."""
-
-    def __init__(self):
-        self.paths: list[Path] = []
-
-    def track(self, *paths) -> None:
-        self.paths.extend(Path(p) for p in paths)
-
-    def write_json(self, path, payload: dict) -> str:
-        """The indented JSON text of ``payload``, also written to ``path`` if given."""
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if path:
-            self.track(*write_files({path: text.encode()}, path))
-        return text
-
-    def cleanup(self) -> None:
-        for p in self.paths:
-            try:
-                p.unlink(missing_ok=True)
-            except OSError:
-                pass
+def _write_json(path, payload: dict) -> str:
+    """The indented JSON text of ``payload``, also written to ``path`` if given."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path:
+        write_files({path: text.encode()}, path)
+    return text
 
 
 def _require(kind: type, vol, stem: str):
@@ -69,24 +54,23 @@ def _summary(**fields) -> None:
     print(json.dumps(fields, sort_keys=True))
 
 
-def _cmd_generate(args, cfg: PipelineConfig, out: _Outputs) -> None:
+def _cmd_generate(args, cfg: PipelineConfig) -> None:
     # write_stl checks this too, but only after the packing.
     _check_number("segments_per_circle", args.stl_sides, low=3, strict=False, integer=True)
     model = generate_model(cfg.model_params())
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out.track(*write_fibers_csv(model.fibers, out_dir / "fibers.csv"))
+    write_fibers_csv(model.fibers, out_dir / "fibers.csv")
     write_stl(model, out_dir / "model.stl", args.stl_sides)
-    out.track(out_dir / "model.stl")
     stats = stats_document(model, audit=args.audit)
-    out.write_json(out_dir / "stats.json", stats)
+    _write_json(out_dir / "stats.json", stats)
     extra = {key: stats[key] for key in ("stalled", "audit") if key in stats}
     _summary(stage="generate", fibers=stats["fiber_count"],
              volume_fraction=stats["volume_fraction"], attempts_used=model.attempts_used,
              stop_reason=model.stop_reason, **extra)
 
 
-def _cmd_rasterize(args, cfg: PipelineConfig, out: _Outputs) -> None:
+def _cmd_rasterize(args, cfg: PipelineConfig) -> None:
     raster = cfg.raw["raster"]
     fibers = read_fibers_csv(args.fibers)
     model = FiberModel(params=cfg.model_params(), fibers=fibers)
@@ -95,20 +79,20 @@ def _cmd_rasterize(args, cfg: PipelineConfig, out: _Outputs) -> None:
                                          (raster["fiber_value"], raster["matrix_value"]))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out.track(*write_volume(labels, out_dir / "gt"))
-    out.track(*write_volume(atten, out_dir / "atten"))
+    write_volume(labels, out_dir / "gt")
+    write_volume(atten, out_dir / "atten")
     _summary(stage="rasterize", conflicts=conflicts, fibers_outside=fibers_outside(fibers, grid),
              labeled_voxels=int(np.count_nonzero(labels.data)))
 
 
-def _cmd_degrade(args, cfg: PipelineConfig, out: _Outputs) -> None:
+def _cmd_degrade(args, cfg: PipelineConfig) -> None:
     gray = _require(Volume, read_volume(args.input), args.input)
     result = degrade(gray, cfg.degrade_params())
-    out.track(*write_volume(result, args.output))
+    write_volume(result, args.output)
     _summary(stage="degrade", mean=float(result.data.mean()))
 
 
-def _cmd_fbp(args, cfg: PipelineConfig, out: _Outputs) -> None:
+def _cmd_fbp(args, cfg: PipelineConfig) -> None:
     gray = _require(Volume, read_volume(args.input), args.input)
     n_angles = cfg.raw["fbp"]["n_angles"]
     sink = None
@@ -117,13 +101,13 @@ def _cmd_fbp(args, cfg: PipelineConfig, out: _Outputs) -> None:
         sino_dir.mkdir(parents=True, exist_ok=True)
 
         def sink(k, sino):
-            out.track(*write_sinogram(sino, sino_dir / f"sino_z{k:04d}"))
+            write_sinogram(sino, sino_dir / f"sino_z{k:04d}")
     result = simulate_fbp(gray, n_angles, sink)
-    out.track(*write_volume(result, args.output))
+    write_volume(result, args.output)
     _summary(stage="fbp", n_angles=n_angles)
 
 
-def _cmd_annotate(args, cfg: PipelineConfig, out: _Outputs) -> None:
+def _cmd_annotate(args, cfg: PipelineConfig) -> None:
     gray = _require(Volume, read_volume(args.gray), args.gray)
     if args.annotations:
         chains = read_annotations(args.annotations)
@@ -131,12 +115,12 @@ def _cmd_annotate(args, cfg: PipelineConfig, out: _Outputs) -> None:
         chains = annotations_from_fibers(read_fibers_csv(args.from_fibers), gray.grid)
     seeds, conflicts = render_polylines(chains, gray.grid)
     labels = region_grow(gray, seeds, cfg.raw["annotate"]["threshold"])
-    out.track(*write_volume(labels, args.output))
+    write_volume(labels, args.output)
     _summary(stage="annotate", chains=len(chains), conflicts=conflicts,
              labeled_voxels=int(np.count_nonzero(labels.data)))
 
 
-def _cmd_segment(args, cfg: PipelineConfig, out: _Outputs) -> None:
+def _cmd_segment(args, cfg: PipelineConfig) -> None:
     gray = _require(Volume, read_volume(args.input), args.input)
     seg = cfg.raw["segment"]
     if seg["polarity"] == "bright":
@@ -159,7 +143,7 @@ def _cmd_segment(args, cfg: PipelineConfig, out: _Outputs) -> None:
     mask = binarize(response, method=seg["binarize"], threshold=seg["threshold"])
     instances = connected_components(mask)
     for vol, name in ((response, "vess"), (mask, "mask"), (instances, "pred")):
-        out.track(*write_volume(vol, out_dir / name))
+        write_volume(vol, out_dir / name)
     summary = dict(stage="segment", components=int(instances.data.max()),
                    mask_voxels=int(np.count_nonzero(mask.data)), scales=list(scales.sigmas))
     # The written volumes are dropped so that the structure tensor's peak does
@@ -168,11 +152,11 @@ def _cmd_segment(args, cfg: PipelineConfig, out: _Outputs) -> None:
     if args.orientation:
         field = structure_tensor_orientation(gray, seg["orientation_sigma_g"],
                                              seg["orientation_rho"])
-        out.track(*write_orientation_field(field, args.orientation))
+        write_orientation_field(field, args.orientation)
     _summary(**summary)
 
 
-def _cmd_evaluate(args, cfg: PipelineConfig, out: _Outputs) -> None:
+def _cmd_evaluate(args, cfg: PipelineConfig) -> None:
     truth = _require(LabelVolume, read_volume(args.truth), args.truth)
     pred = _require(LabelVolume, read_volume(args.pred), args.pred)
     if truth.grid != pred.grid:
@@ -181,17 +165,17 @@ def _cmd_evaluate(args, cfg: PipelineConfig, out: _Outputs) -> None:
             f"vs pred dims {pred.grid.dims} (voxel {pred.grid.voxel_size} um)")
     report = evaluate(truth.data, pred.data,
                       ignore_background=cfg.raw["evaluate"]["ignore_background"])
-    sys.stdout.write(out.write_json(args.output, report.to_dict()))
+    sys.stdout.write(_write_json(args.output, report.to_dict()))
 
 
-def _cmd_stats(args, cfg: PipelineConfig, out: _Outputs) -> None:
+def _cmd_stats(args, cfg: PipelineConfig) -> None:
     if args.fibers:
         model = FiberModel(params=cfg.model_params(), fibers=read_fibers_csv(args.fibers))
         payload = model_statistics(model).to_dict()
     else:
         labels = _require(LabelVolume, read_volume(args.labels), args.labels)
         payload = label_statistics(labels)
-    sys.stdout.write(out.write_json(args.output, payload))
+    sys.stdout.write(_write_json(args.output, payload))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,26 +270,29 @@ def _interrupt(signum, frame):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    outputs = _Outputs()
     # SIGTERM, like Ctrl-C, fails the stage through the handler below.
     previous = signal.signal(signal.SIGTERM, _interrupt)
+    token = WRITTEN.set([])
     try:
         cfg = PipelineConfig.load(args.config)
         cfg.apply_overrides(args.overrides)
         if args.seed is not None:
             cfg.raw["model"]["seed"] = args.seed
             cfg.raw["degrade"]["noise_seed"] = args.seed
-        _HANDLERS[args.command](args, cfg, outputs)
+        _HANDLERS[args.command](args, cfg)
         return 0
     except (Exception, KeyboardInterrupt) as exc:  # noqa: BLE001 - single CLI error boundary
-        # files a failed write had already moved into place count as written
-        outputs.track(*getattr(exc, "written", ()))
-        outputs.cleanup()
+        for path in WRITTEN.get():
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:
+                pass
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error stage={args.command}: {message}", file=sys.stderr)
         return 1
     finally:
         signal.signal(signal.SIGTERM, previous)
+        WRITTEN.reset(token)
 
 
 if __name__ == "__main__":

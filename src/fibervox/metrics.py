@@ -100,8 +100,8 @@ def contingency_table(truth, pred, ignore_background: bool = True) -> Contingenc
         b = b.ravel()
     truth_labels, ai = np.unique(a, return_inverse=True)
     pred_labels, bi = np.unique(b, return_inverse=True)
-    joint = np.zeros((len(truth_labels), len(pred_labels)), dtype=np.int64)
-    np.add.at(joint, (ai, bi), 1)
+    shape = (len(truth_labels), len(pred_labels))
+    joint = np.bincount(ai * shape[1] + bi, minlength=shape[0] * shape[1]).reshape(shape)
     return ContingencyTable(truth_labels=truth_labels, pred_labels=pred_labels,
                             joint=joint, n=int(a.size))
 

@@ -6,14 +6,16 @@ which corresponds to Fortran-order raveling of the array.
 
 On disk a volume is a pair of files sharing a stem: ``<stem>.json`` carries
 the metadata and ``<stem>.raw`` the little-endian sample stream. Gray data is
-32-bit float (tag ``"f32"``), label data 32-bit unsigned int (tag ``"u32"``);
-masks are stored as 8-bit unsigned int (tag ``"u8"``) and read as labels.
+32-bit float (tag ``"f32"``), label data 32-bit unsigned int (tag ``"u32"``),
+binary masks included (0/1 labels). Only an orientation field's ``.valid``
+volume is 8-bit unsigned int (tag ``"u8"``); it reads back as labels.
 Every artifact is written to a temporary file and moved into place with
 ``os.replace`` (:func:`write_files`), so a failed write keeps the previous file.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
@@ -25,6 +27,9 @@ import numpy as np
 RAW_ORDER = "x-fastest"
 RAW_ENDIANNESS = "little"
 FORMAT_VERSION = 1
+
+# The paths write_files moves into place, recorded while a CLI stage sets a list.
+WRITTEN: contextvars.ContextVar[list[Path]] = contextvars.ContextVar("WRITTEN")
 
 _DTYPES = {"f32": np.dtype("<f4"), "u32": np.dtype("<u4"), "u8": np.dtype("u1")}
 
@@ -124,28 +129,25 @@ def write_files(payloads: dict[str | Path, bytes], name: str | Path) -> list[Pat
     """Write ``{path: bytes}`` payloads, each to a temporary sibling, then move
     them all into place with ``os.replace``; returns the paths written. The
     temporaries are always removed. A failed write raises ``OSError`` ``failed
-    to write '<name>'``; that error, or any other exception raised meanwhile (an
-    interrupt), carries ``written``: the files already moved into place."""
+    to write '<name>'``. When :data:`WRITTEN` holds a list in the calling
+    context, each path is appended to it right after its move, so a failed or
+    interrupted stage can remove the files it wrote. ``ThreadPoolExecutor``
+    workers do not inherit the context: write on the stage's own thread."""
     payloads = {Path(path): payload for path, payload in payloads.items()}
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in payloads}
-    written = []
+    record = WRITTEN.get([])
     try:
         for path, payload in payloads.items():
             temps[path].write_bytes(payload)
         for path, tmp in temps.items():
             os.replace(tmp, path)
-            written.append(path)
+            record.append(path)
     except OSError as exc:
-        error = OSError(f"failed to write '{name}': {exc}")
-        error.written = written
-        raise error from exc
-    except BaseException as exc:
-        exc.written = written
-        raise
+        raise OSError(f"failed to write '{name}': {exc}") from exc
     finally:
         for tmp in temps.values():
             tmp.unlink(missing_ok=True)
-    return written
+    return list(payloads)
 
 
 def _raw_payloads(path_stem: str | Path, samples: np.ndarray, tag: str, order: str = RAW_ORDER,

@@ -16,7 +16,7 @@ from fibervox.ctsim import Sinogram, write_sinogram
 from fibervox.fibers import Fiber, write_fibers_csv
 from fibervox.mesh import write_stl
 from fibervox.vesselness import OrientationField, write_orientation_field
-from fibervox.volume import GridSpec, LabelVolume, Volume, write_files, write_volume
+from fibervox.volume import WRITTEN, GridSpec, LabelVolume, Volume, write_files, write_volume
 from test_cli import TINY, run_cli
 
 GRID = GridSpec((6, 6, 6), 1.0)
@@ -132,14 +132,70 @@ def test_files_moved_before_a_failure_count_as_written(tmp_path, monkeypatch):
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace_json_only)
-    with pytest.raises(OSError, match="failed to write") as exc:
-        write_files({tmp_path / "a.json": b"{}", tmp_path / "a.raw": b"\0"}, "a")
-    assert exc.value.written == [tmp_path / "a.json"]
+    record = []
+    token = WRITTEN.set(record)
+    try:
+        with pytest.raises(OSError, match="failed to write"):
+            write_files({tmp_path / "a.json": b"{}", tmp_path / "a.raw": b"\0"}, "a")
+    finally:
+        WRITTEN.reset(token)
+    assert record == [tmp_path / "a.json"]
     code, _, err = run_cli("degrade", "--input", gray, "--output", str(tmp_path / "new"))
     monkeypatch.undo()
     assert code == 1 and err.startswith("error stage=degrade: failed to write")
     # new.json was moved into place before new.raw failed, so cleanup removed it
     assert sorted(files(tmp_path)) == ["a.json", "gray.json", "gray.raw"]
+
+
+def _replace_failing_for(name):
+    """An ``os.replace`` that fails with EIO for a destination named ``name``."""
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == name:
+            raise OSError(5, "Input/output error")
+        real_replace(src, dst)
+    return replace
+
+
+def test_generate_failing_on_stats_removes_csv_and_stl(tmp_path, monkeypatch):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    out_dir = tmp_path / "gen"
+    monkeypatch.setattr(os, "replace", _replace_failing_for("stats.json"))
+    code, _, err = run_cli("generate", "--config", str(cfg), "--out-dir", str(out_dir))
+    monkeypatch.undo()
+    assert code == 1
+    assert err.startswith(f"error stage=generate: failed to write '{out_dir / 'stats.json'}'")
+    assert list(out_dir.iterdir()) == []
+
+
+def test_fbp_failing_on_recon_removes_dumped_sinograms(tmp_path, monkeypatch):
+    gray = _gray(tmp_path)
+    sino_dir = tmp_path / "sinos"
+    monkeypatch.setattr(os, "replace", _replace_failing_for("recon.raw"))
+    code, _, err = run_cli("fbp", "--set", "fbp.n_angles=8", "--input", gray,
+                           "--output", str(tmp_path / "recon"), "--dump-sinograms", str(sino_dir))
+    monkeypatch.undo()
+    assert code == 1 and err.startswith("error stage=fbp: failed to write")
+    assert list(sino_dir.iterdir()) == []
+    assert sorted(files(tmp_path)) == ["gray.json", "gray.raw"]
+
+
+def test_written_record_is_unset_outside_a_stage(tmp_path, monkeypatch):
+    gray = _gray(tmp_path)
+    assert WRITTEN.get(None) is None
+    assert run_cli("degrade", "--input", gray, "--output", str(tmp_path / "d"))[0] == 0
+    assert WRITTEN.get(None) is None
+    # a library write between stages is recorded by neither stage, so the
+    # cleanup of a later failed stage (e.json written, e.raw failed) spares it
+    write_volume(Volume(GRID, np.ones(GRID.dims)), tmp_path / "lib")
+    monkeypatch.setattr(os, "replace", _replace_failing_for("e.raw"))
+    code, _, _ = run_cli("degrade", "--input", gray, "--output", str(tmp_path / "e"))
+    monkeypatch.undo()
+    assert code == 1 and WRITTEN.get(None) is None
+    assert sorted(files(tmp_path)) == ["d.json", "d.raw", "gray.json", "gray.raw",
+                                       "lib.json", "lib.raw"]
 
 
 def test_segment_orientation_into_missing_dir_removes_all_segment_outputs(tmp_path):

@@ -81,12 +81,20 @@ def test_contingency_table_counts():
     np.testing.assert_array_equal(t.truth_labels, [1, 2])
     np.testing.assert_array_equal(t.pred_labels, [5, 7])
     np.testing.assert_array_equal(t.joint, [[1, 1], [0, 3]])
+    assert t.joint.dtype == np.int64
     np.testing.assert_array_equal(t.truth_sizes, [2, 3])
     np.testing.assert_array_equal(t.pred_sizes, [1, 4])
 
     t_all = contingency_table(truth, pred, ignore_background=False)
     assert t_all.n == 6
     assert 0 in t_all.truth_labels
+
+
+def test_contingency_table_of_an_empty_domain():
+    # every truth voxel is background, so no voxel is counted
+    t = contingency_table(np.zeros((2, 3, 4), np.uint32), np.ones((2, 3, 4), np.uint32))
+    assert t.n == 0 and t.joint.shape == (0, 0) and t.joint.dtype == np.int64
+    assert t.truth_sizes.shape == t.pred_sizes.shape == (0,)
 
 
 # ------------------------------------------------------------------- ari
