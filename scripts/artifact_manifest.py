@@ -6,8 +6,8 @@
 of the attenuation volume (400 angles), ``annotate --from-fibers``,
 ``segment --orientation`` and ``stats --labels``/``--fibers``; ``--config
 FILE`` passes that config to every step of this chain, e.g.
-``configs/table1.json`` for the 241^3 production scale (80-100 s and
-1.2 GB peak RSS on a 2-core host). ``DIR/tiny`` gets the 24^3 chain of
+``configs/table1.json`` for the 241^3 production scale (63-69 s and
+0.81 GB peak RSS on a 2-core host). ``DIR/tiny`` gets the 24^3 chain of
 ``tests/test_determinism.py``, including ``fbp --dump-sinograms``. Each chain
 also keeps its stages' stdout in ``summaries.txt``. The output is one
 ``sha256  path`` line per file, sorted by path, so a refactor that must keep

@@ -5,9 +5,10 @@ resumed: generate -> rasterize -> degrade/fbp -> annotate -> segment ->
 evaluate -> stats. Every stage prints a one-line JSON summary on success and
 ``error stage=<name>: <message>`` on stderr with a nonzero exit otherwise.
 Every artifact is written to a temporary file and moved into place with
-``os.replace``, and recorded in the list ``main`` sets in ``volume.WRITTEN``.
-A failed stage removes the recorded files, and never one it failed to
-replace; so does a stage stopped by Ctrl-C or SIGTERM.
+``os.replace``, and recorded in the list ``main`` sets in ``volume.WRITTEN``,
+as is each output directory a stage makes. A failed stage removes the
+recorded files, and never one it failed to replace, then the recorded
+directories left empty; so does a stage stopped by Ctrl-C or SIGTERM.
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ def _write_json(path, payload: dict) -> str:
     return text
 
 
+def _make_dir(path) -> Path:
+    """``path.mkdir(parents=True, exist_ok=True)`` that records each directory
+    it makes in ``volume.WRITTEN``, outermost first."""
+    path = Path(path)
+    for d in reversed((path, *path.parents)):
+        if not d.is_dir():
+            d.mkdir()
+            WRITTEN.get().append(d)
+    return path
+
+
 def _require(kind: type, vol, stem: str):
     if not isinstance(vol, kind):
         held, wanted = ("labels (u32)", "gray (f32)") if kind is Volume \
@@ -58,8 +70,7 @@ def _cmd_generate(args, cfg: PipelineConfig) -> None:
     # write_stl checks this too, but only after the packing.
     _check_number("segments_per_circle", args.stl_sides, low=3, strict=False, integer=True)
     model = generate_model(cfg.model_params())
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(args.out_dir)
     write_fibers_csv(model.fibers, out_dir / "fibers.csv")
     write_stl(model, out_dir / "model.stl", args.stl_sides)
     stats = stats_document(model, audit=args.audit)
@@ -77,8 +88,7 @@ def _cmd_rasterize(args, cfg: PipelineConfig) -> None:
     grid = cfg.grid_spec()
     labels, conflicts, atten = rasterize(model, grid, raster["supersample"],
                                          (raster["fiber_value"], raster["matrix_value"]))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(args.out_dir)
     write_volume(labels, out_dir / "gt")
     write_volume(atten, out_dir / "atten")
     _summary(stage="rasterize", conflicts=conflicts, fibers_outside=fibers_outside(fibers, grid),
@@ -97,8 +107,7 @@ def _cmd_fbp(args, cfg: PipelineConfig) -> None:
     n_angles = cfg.raw["fbp"]["n_angles"]
     sink = None
     if args.dump_sinograms:
-        sino_dir = Path(args.dump_sinograms)
-        sino_dir.mkdir(parents=True, exist_ok=True)
+        sino_dir = _make_dir(args.dump_sinograms)
 
         def sink(k, sino):
             write_sinogram(sino, sino_dir / f"sino_z{k:04d}")
@@ -134,8 +143,7 @@ def _cmd_segment(args, cfg: PipelineConfig) -> None:
     check_binarize(seg["binarize"], seg["threshold"])
     if args.orientation:
         check_orientation(seg["orientation_sigma_g"], seg["orientation_rho"])
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(args.out_dir)
     if args.orientation and not Path(args.orientation).parent.is_dir():
         raise OSError(f"failed to write '{args.orientation}': "
                       f"no directory '{Path(args.orientation).parent}'")
@@ -282,9 +290,13 @@ def main(argv=None) -> int:
         _HANDLERS[args.command](args, cfg)
         return 0
     except (Exception, KeyboardInterrupt) as exc:  # noqa: BLE001 - single CLI error boundary
-        for path in WRITTEN.get():
+        # Files, then directories innermost first; rmdir spares a non-empty one.
+        for path in reversed(WRITTEN.get()):
             try:
-                path.unlink(missing_ok=True)
+                if path.is_dir():
+                    path.rmdir()
+                else:
+                    path.unlink(missing_ok=True)
             except OSError:
                 pass
         message = " ".join(str(exc).split()) or type(exc).__name__

@@ -5,22 +5,21 @@ eigenvalues at each scale feed a per-voxel response built from the
 plate-vs-line ratio, the blobness ratio, and the second-order energy; the
 multi-scale result is the voxel-wise maximum over scales. A structure-tensor
 orientation estimator for the extracted fibers lives here too. Both take their
-sampled-Gaussian derivatives from one separable routine, :func:`_derivatives`:
+sampled-Gaussian derivatives from one separable slab routine, :func:`_cascade`:
 15 convolution passes for the Hessian, 8 + 6 * 3 for the structure tensor.
 
 Memory and threads: both kernels run over x-slabs of whole y-z planes, about
 128 x 128 x 2 voxels, whose 256 KB float64 temporaries stay near a core's L2,
-on one worker thread per CPU the process may use (:func:`_each_slab`): first
-the Gaussian passes, with scipy's sums bit for bit (x in numpy, y and z in
-scipy; see :func:`_derivatives` for why), then the per-voxel steps (sigma^2
-scaling, eigensolves, magnitude sort, response). A kernel holds its six
-full-volume float64 components and its outputs plus a few slab temporaries
-per worker; the structure tensor's closed-form axis and its eigh fallback
-need no (..., 3, 3) stack beyond the fallback voxels. Peak
-RSS of one standalone call on 2 CPUs (three Frangi scales; the structure
-tensor at sigma_g 1, rho 2), the workers' malloc arenas included: Frangi
-198 MB at 128^3 and 948 MB at 241^3, the structure tensor 215 MB and
-985-993 MB.
+on one worker thread per CPU the process may use (:func:`_each_slab`). Each
+slab runs its Gaussian passes, with scipy's sums bit for bit (x in numpy, y
+and z in scipy; see :func:`_derivatives` for why), into slab-local arrays,
+then its per-voxel steps (sigma^2 scaling, eigensolves, magnitude sort), so
+no kernel keeps full-volume Hessian or tensor components, and the tensor's
+closed-form axis needs no (..., 3, 3) stack beyond its eigh fallback voxels.
+Peak RSS of one standalone call on 2 CPUs (three Frangi scales; the structure
+tensor at sigma_g 1, rho 2), the input and the workers' malloc arenas
+included: Frangi 153 MB at 128^3 and 628-629 MB at 241^3, the structure
+tensor 172-176 MB and 760-768 MB, which holds its gradients, trace and axes.
 """
 
 from __future__ import annotations
@@ -148,41 +147,45 @@ def _pass(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
+def _halo(sl: slice, r: int, nx: int):
+    """The slab's planes plus r on each side of a length-``nx`` axis: a slice
+    inside the grid, :func:`_reflect` indices (a copy when used) at its ends."""
+    lo, hi = sl.start - r, min(sl.stop, nx) + r
+    return slice(lo, hi) if 0 <= lo and hi <= nx else _reflect(lo, hi, nx)
+
+
+def _cascade(planes: np.ndarray, kernels, orders, outs) -> None:
+    """One slab's passes, from its planes and their :func:`_halo` for the
+    ``kernels`` (by order): one x pass per x order in numpy (:func:`_pass`),
+    shared by its (x, y, z) order triples, then the y and z passes by
+    ``ndimage.convolve1d``, the z pass into ``outs[i]`` for ``orders[i]``."""
+    for kx in dict.fromkeys(o[0] for o in orders):
+        x_pass = _pass(planes, kernels[kx])
+        for i, o in enumerate(orders):
+            if o[0] == kx:
+                y_pass = ndimage.convolve1d(x_pass, kernels[o[1]], axis=1, mode="reflect")
+                ndimage.convolve1d(y_pass, kernels[o[2]], axis=2, output=outs[i], mode="reflect")
+
+
 def _derivatives(data: np.ndarray, sigma: float, orders) -> list[np.ndarray]:
     """Sampled-Gaussian derivatives of ``data`` at ``sigma``, one float64
-    array per (x, y, z) order triple: an x, a y and a z pass, each bit for bit
+    volume per (x, y, z) order triple: an x, a y and a z pass, each bit for bit
     ``ndimage.convolve1d(mode="reflect")``.
 
-    Each x-slab runs its whole cascade on a worker thread (:func:`_each_slab`):
-    its planes plus an r-plane halo (a view, or a reflected copy at the grid
-    ends), one x pass per x order shared by its triples in numpy
-    (:func:`_pass`), then the y and z passes by ``ndimage.convolve1d`` along
-    the slab's whole y and z lines, the z pass into the output's slab. The x
-    pass stays in numpy because the slab cuts the x lines: scipy would also
-    convolve the 2r halo planes and copy each short strided line into a
+    Each x-slab runs its :func:`_cascade` into the outputs' slab on a worker
+    thread (:func:`_each_slab`), which holds only the slab's halo and passes.
+    The x pass stays in numpy because the slab cuts the x lines: scipy would
+    also convolve the 2r halo planes and copy each short strided line into a
     buffer, 4-16x the time of numpy's pass per slab at 128^3 and 241^3. The
-    input is made C-contiguous once, since in the x-fastest views that
-    ``read_volume`` returns every x tap is a strided gather (6-9x slower at
-    128^3). Only the outputs are full volumes.
+    input is made C-contiguous once: in the x-fastest views that
+    ``read_volume`` returns every x tap is a strided gather (6-9x slower).
     """
     kernels = [gaussian_kernel(sigma, k) for k in range(max(map(max, orders)) + 1)]
     r = len(kernels[0]) // 2
     data = np.ascontiguousarray(data)
-    nx = len(data)
     out = [np.empty(data.shape) for _ in orders]
-
-    def cascade(sl):
-        lo, hi = sl.start - r, min(sl.stop, nx) + r
-        planes = data[lo:hi] if 0 <= lo and hi <= nx else data[_reflect(lo, hi, nx)]
-        for kx in dict.fromkeys(o[0] for o in orders):
-            x_pass = _pass(planes, kernels[kx])
-            for i, o in enumerate(orders):
-                if o[0] == kx:
-                    y_pass = ndimage.convolve1d(x_pass, kernels[o[1]], axis=1, mode="reflect")
-                    ndimage.convolve1d(y_pass, kernels[o[2]], axis=2, output=out[i][sl],
-                                       mode="reflect")
-
-    _each_slab(cascade, data.shape)
+    _each_slab(lambda sl: _cascade(data[_halo(sl, r, len(data))], kernels, orders,
+                                   [o[sl] for o in out]), data.shape)
     return out
 
 
@@ -296,26 +299,29 @@ def _sort_by_magnitude(lo, mid, hi):
 def hessian_at_scale(v: Volume, sigma: float) -> EigenField:
     """Scale-normalized Hessian eigenvalues of the volume at one scale.
 
-    Six Hessian components via :func:`_derivatives` (reflect boundary),
-    multiplied by sigma^2 (gamma = 2 scale normalization), then a closed-form
-    symmetric eigensolve per voxel. The components fall into three x groups
-    (orders 2, 1 and 0), so they take 15 passes, not 18, with the six
-    components the only full-volume float64 arrays; the passes, the scaling
-    and the eigensolve run over slabs (:func:`_each_slab`), and the result
-    does not depend on the slab size or the thread count.
+    Six Hessian components (reflect boundary), multiplied by sigma^2 (gamma =
+    2 scale normalization), then a closed-form symmetric eigensolve per voxel.
+    The components fall into three x groups (orders 2, 1 and 0), so they take
+    15 passes, not 18. Each slab (:func:`_each_slab`) runs its passes
+    (:func:`_cascade`) into slab-local components, then scales, solves and
+    sorts them: l1, l2 and l3 are the only full-volume float64 arrays, and the
+    result does not depend on the slab size or the thread count.
     """
-    xx, xy, xz, yy, zz, yz = _derivatives(
-        v.data, sigma, ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2), (0, 1, 1)))
-    scale = sigma * sigma
+    orders = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2), (0, 1, 1))
+    kernels = [gaussian_kernel(sigma, k) for k in range(3)]
+    data = np.ascontiguousarray(v.data)
+    l1, l2, l3 = (np.empty(v.grid.dims) for _ in range(3))
 
-    # xx, yy and zz double as l1, l2 and l3: each slab is read before it is
-    # overwritten.
     def solve(sl):
-        eigenvalues = _eig3_symmetric(*(c[sl] * scale for c in (xx, yy, zz, xy, xz, yz)))
-        xx[sl], yy[sl], zz[sl] = _sort_by_magnitude(*eigenvalues)
+        xx, xy, xz, yy, zz, yz = components = [np.empty(data[sl].shape) for _ in orders]
+        _cascade(data[_halo(sl, len(kernels[0]) // 2, len(data))], kernels, orders, components)
+        for c in components:
+            c *= sigma * sigma
+        eigenvalues = _eig3_symmetric(xx, yy, zz, xy, xz, yz)
+        l1[sl], l2[sl], l3[sl] = _sort_by_magnitude(*eigenvalues)
 
     _each_slab(solve, v.grid.dims)
-    return EigenField(grid=v.grid, l1=xx, l2=yy, l3=zz)
+    return EigenField(grid=v.grid, l1=l1, l2=l2, l3=l3)
 
 
 def _divide_nonzero(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -456,36 +462,34 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
     z >= 0 (then y >= 0, then x >= 0 on ties). It comes in closed form, and
     from eigh where J = 0 or the smallest eigenvalue is double (everywhere at
     ``rho`` = 0): see :func:`_smallest_eigenvector`. Voxels whose tensor trace
-    is below 1e-12 of the volume maximum are flagged invalid. The eigensolve
-    runs over slabs (:func:`_each_slab`), and the result does not depend on
-    the slab size or the thread count.
+    is below 1e-12 of the volume maximum are flagged invalid. Each slab
+    (:func:`_each_slab`) smooths the products over its ``rho`` halo, one at a
+    time, into slab-local components (:func:`_cascade`), so only the gradients,
+    trace and axes are full volumes; the result does not depend on the slab
+    size or the thread count.
     """
     check_orientation(sigma_g, rho)
     gx, gy, gz = _derivatives(v.data, sigma_g, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    def smooth(component: np.ndarray) -> np.ndarray:
-        return component if rho == 0 else _derivatives(component, rho, ((0, 0, 0),))[0]
-
-    # Each gradient is dropped once its last product is formed.
-    jxx, jxy, jxz = smooth(gx * gx), smooth(gx * gy), smooth(gx * gz)
-    del gx
-    jyy, jyz = smooth(gy * gy), smooth(gy * gz)
-    del gy
-    jzz = smooth(gz * gz)
-    del gz
-
-    trace = jxx + jyy + jzz
-    max_trace = float(trace.max())
-    valid = (trace >= 1e-12 * max_trace) & (max_trace > 0)
-    del trace
-
+    products = ((gx, gx), (gy, gy), (gz, gz), (gx, gy), (gx, gz), (gy, gz))
+    kernels = [gaussian_kernel(rho)] if rho > 0 else None
+    trace = np.empty(v.grid.dims)
     axes = np.empty(v.grid.dims + (3,), dtype=np.float32)
 
     def solve(sl):
-        axes[sl] = hemisphere(_smallest_eigenvector(*(c[sl] for c in (jxx, jyy, jzz, jxy, jxz,
-                                                                       jyz))))
+        if kernels is None:
+            j = [a[sl] * b[sl] for a, b in products]
+        else:
+            # One halo product at a time, each smoothed into its slab-local j.
+            halo = _halo(sl, len(kernels[0]) // 2, len(gx))
+            j = [np.empty(gx[sl].shape) for _ in products]
+            for (a, b), out in zip(products, j):
+                _cascade(a[halo] * b[halo], kernels, ((0, 0, 0),), [out])
+        trace[sl] = j[0] + j[1] + j[2]
+        axes[sl] = hemisphere(_smallest_eigenvector(*j))
 
     _each_slab(solve, v.grid.dims)
+    max_trace = float(trace.max())
+    valid = (trace >= 1e-12 * max_trace) & (max_trace > 0)
     return OrientationField(grid=v.grid, axes=axes, valid=valid)
 
 

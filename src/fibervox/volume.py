@@ -28,7 +28,8 @@ RAW_ORDER = "x-fastest"
 RAW_ENDIANNESS = "little"
 FORMAT_VERSION = 1
 
-# The paths write_files moves into place, recorded while a CLI stage sets a list.
+# The paths write_files moves into place and the directories a CLI stage makes,
+# recorded while the stage sets a list.
 WRITTEN: contextvars.ContextVar[list[Path]] = contextvars.ContextVar("WRITTEN")
 
 _DTYPES = {"f32": np.dtype("<f4"), "u32": np.dtype("<u4"), "u8": np.dtype("u1")}

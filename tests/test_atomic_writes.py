@@ -167,7 +167,7 @@ def test_generate_failing_on_stats_removes_csv_and_stl(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert code == 1
     assert err.startswith(f"error stage=generate: failed to write '{out_dir / 'stats.json'}'")
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 def test_fbp_failing_on_recon_removes_dumped_sinograms(tmp_path, monkeypatch):
@@ -178,8 +178,25 @@ def test_fbp_failing_on_recon_removes_dumped_sinograms(tmp_path, monkeypatch):
                            "--output", str(tmp_path / "recon"), "--dump-sinograms", str(sino_dir))
     monkeypatch.undo()
     assert code == 1 and err.startswith("error stage=fbp: failed to write")
-    assert list(sino_dir.iterdir()) == []
+    assert not sino_dir.exists()
     assert sorted(files(tmp_path)) == ["gray.json", "gray.raw"]
+
+
+def test_failed_stage_keeps_an_existing_out_dir_and_its_files(tmp_path, monkeypatch):
+    # gen/ existed before the stage, so only the stage's own directories go:
+    # gen/ stays with its unrelated file, and the nested one it made is removed
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    out_dir = tmp_path / "gen"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("keep me\n")
+    monkeypatch.setattr(os, "replace", _replace_failing_for("stats.json"))
+    for target in (out_dir, out_dir / "a" / "b"):
+        code, _, _ = run_cli("generate", "--config", str(cfg), "--out-dir", str(target))
+        assert code == 1
+    monkeypatch.undo()
+    assert [p.name for p in out_dir.iterdir()] == ["notes.txt"]
+    assert (out_dir / "notes.txt").read_text() == "keep me\n"
 
 
 def test_written_record_is_unset_outside_a_stage(tmp_path, monkeypatch):
@@ -205,7 +222,7 @@ def test_segment_orientation_into_missing_dir_removes_all_segment_outputs(tmp_pa
                            "--orientation", str(tmp_path / "no_such_dir" / "orient"))
     assert code == 1
     assert err.startswith("error stage=segment: failed to write")
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("replace_call", [3, 4], ids=["before-atten", "between-atten-files"])
@@ -248,4 +265,4 @@ def test_interrupted_stage_leaves_no_output(tmp_path, monkeypatch, interrupt, re
     assert err.strip() == ("error stage=rasterize: "
                            + ("KeyboardInterrupt" if interrupt == "ctrl-c"
                               else "interrupted by SIGTERM"))
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()

@@ -1,12 +1,18 @@
 """Peak memory of the two segment kernels, counted by tracemalloc in units of
 one volume-size float64 array.
 
-Their per-voxel steps run over slabs of whole y-z planes, so a peak is the
-full-volume arrays a kernel keeps (the six Hessian or tensor components and
-the outputs) plus a few slab temporaries for each thread. At the default
-slab size a 48^3 grid is four 14-plane slabs, so that case uses two-plane
-slabs, the depth the default gives on 128 x 128 planes; the second case runs
-at the default."""
+Each slab runs its Gaussian passes and its per-voxel steps into slab-local
+arrays, so a peak is the full-volume arrays a kernel keeps (the input, and
+Frangi's eigenvalues and responses, or the structure tensor's three gradients,
+its trace and its float32 axes) plus a few slab temporaries and halos for
+each of the two worker threads. At the default slab size a 48^3 grid is four
+14-plane slabs, so that case uses two-plane slabs, the depth the default
+gives on 128 x 128 planes; the second case runs at the default.
+
+Measured with two workers on both grids: Frangi 6.0-6.2 volumes and the
+structure tensor 7.7-8.0, against 8.6-9.1 and 9.4-9.5 when each kernel kept
+six full-volume components. Each bound sits at least 1.3 and 0.6 volumes
+above the first and 1.1 and 0.7 volumes below the second."""
 
 import tracemalloc
 
@@ -19,7 +25,7 @@ from fibervox.vesselness import (ScaleSet, VesselnessParams, frangi_multiscale,
                                  structure_tensor_orientation)
 from fibervox.volume import GridSpec, Volume
 
-MAX_VOLUMES = 16
+MAX_VOLUMES = {"frangi": 7.5, "structure tensor": 8.6}
 
 
 def traced_peak(call) -> int:
@@ -35,7 +41,9 @@ def traced_peak(call) -> int:
     ((48, 48, 48), 48 * 48 * 2),
     ((48, 128, 128), None),
 ], ids=["48-cubed", "default-slab"])
-def test_segment_kernel_peaks_stay_under_sixteen_volumes(dims, slab_voxels, monkeypatch):
+def test_segment_kernel_peaks_hold_no_full_volume_components(dims, slab_voxels, monkeypatch):
+    # Two workers whatever the host, since each holds its own slab temporaries.
+    monkeypatch.setattr(vesselness, "_cpu_count", lambda: 2)
     if slab_voxels is not None:
         monkeypatch.setattr(vesselness, "_SLAB_VOXELS", slab_voxels, raising=False)
     rng = np.random.default_rng(48)
@@ -47,7 +55,8 @@ def test_segment_kernel_peaks_stay_under_sixteen_volumes(dims, slab_voxels, monk
                                                         VesselnessParams())),
     }
     for name, peak in peaks.items():
-        assert peak / volume_bytes <= MAX_VOLUMES, f"{name}: {peak / volume_bytes:.1f} volumes"
+        assert peak / volume_bytes <= MAX_VOLUMES[name], \
+            f"{name}: {peak / volume_bytes:.1f} volumes"
 
 
 def test_derivatives_keep_no_full_volume_intermediate(monkeypatch):
