@@ -172,8 +172,8 @@ def write_annotations(annotations: list[PolylineAnnotation], path: str | Path) -
 def read_annotations(path: str | Path) -> list[PolylineAnnotation]:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(path.read_bytes())
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ValueError(f"bad annotation JSON '{path}': {exc}") from exc
     if not isinstance(payload, list):
         raise ValueError(f"annotation JSON '{path}' must be a list of chains")

@@ -144,10 +144,10 @@ class PipelineConfig:
             return cls()
         path = Path(path)
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(path.read_bytes())
         except FileNotFoundError:
             raise ValueError(f"config file '{path}' not found") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
             raise ValueError(f"config file '{path}' is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"config file '{path}' must hold a JSON object")
@@ -181,8 +181,6 @@ class PipelineConfig:
 
     def grid_spec(self) -> GridSpec:
         g = self.raw["grid"]
-        if len(g["dims"]) != 3:
-            raise ValueError("config key 'grid.dims' must have 3 entries")
         return GridSpec(dims=tuple(g["dims"]), voxel_size=g["voxel_size_um"])
 
     def degrade_params(self) -> DegradeParams:

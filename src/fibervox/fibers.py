@@ -557,11 +557,14 @@ def read_fibers_csv(path: str | Path) -> list[Fiber]:
     """Read a fiber list written by :func:`write_fibers_csv`. Ids must be
     unique positive integers."""
     path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != _CSV_HEADER:
-            raise ValueError(f"bad fiber CSV header in '{path}': {header!r}")
-        rows = fh.readlines()
+    try:
+        with path.open(encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\r\n")
+            rows = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"bad fiber CSV '{path}': {exc}") from exc
+    if header != _CSV_HEADER:
+        raise ValueError(f"bad fiber CSV header in '{path}': {header!r}")
     if not rows:  # np.loadtxt warns on empty input
         return []
     try:

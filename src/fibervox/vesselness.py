@@ -446,10 +446,9 @@ class OrientationField:
 
 
 def check_orientation(sigma_g: float, rho: float) -> None:
-    """Raise unless the structure-tensor scales are finite with ``sigma_g`` > 0
-    and ``rho`` >= 0."""
+    """Raise unless the structure-tensor scales are finite and > 0."""
     _check_number("sigma_g", sigma_g)
-    _check_number("rho", rho, strict=False)
+    _check_number("rho", rho)
 
 
 def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> OrientationField:
@@ -457,12 +456,12 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
 
     Gradient from Gaussian first derivatives at ``sigma_g`` (8 passes of
     :func:`_derivatives`: gy and gz share the order-0 x pass); the six
-    gradient products are smoothed at ``rho`` > 0 (3 passes each); the axis is
+    gradient products are smoothed at ``rho`` (3 passes each); the axis is
     the eigenvector of the smallest tensor eigenvalue, canonicalized to
     z >= 0 (then y >= 0, then x >= 0 on ties). It comes in closed form, and
-    from eigh where J = 0 or the smallest eigenvalue is double (everywhere at
-    ``rho`` = 0): see :func:`_smallest_eigenvector`. Voxels whose tensor trace
-    is below 1e-12 of the volume maximum are flagged invalid. Each slab
+    from eigh where J = 0 or the smallest eigenvalue is double: see
+    :func:`_smallest_eigenvector`. Voxels whose tensor trace is below 1e-12
+    of the volume maximum are flagged invalid. Each slab
     (:func:`_each_slab`) smooths the products over its ``rho`` halo, one at a
     time, into slab-local components (:func:`_cascade`), so only the gradients,
     trace and axes are full volumes; the result does not depend on the slab
@@ -471,19 +470,16 @@ def structure_tensor_orientation(v: Volume, sigma_g: float, rho: float) -> Orien
     check_orientation(sigma_g, rho)
     gx, gy, gz = _derivatives(v.data, sigma_g, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     products = ((gx, gx), (gy, gy), (gz, gz), (gx, gy), (gx, gz), (gy, gz))
-    kernels = [gaussian_kernel(rho)] if rho > 0 else None
+    kernels = [gaussian_kernel(rho)]
     trace = np.empty(v.grid.dims)
     axes = np.empty(v.grid.dims + (3,), dtype=np.float32)
 
     def solve(sl):
-        if kernels is None:
-            j = [a[sl] * b[sl] for a, b in products]
-        else:
-            # One halo product at a time, each smoothed into its slab-local j.
-            halo = _halo(sl, len(kernels[0]) // 2, len(gx))
-            j = [np.empty(gx[sl].shape) for _ in products]
-            for (a, b), out in zip(products, j):
-                _cascade(a[halo] * b[halo], kernels, ((0, 0, 0),), [out])
+        # One halo product at a time, each smoothed into its slab-local j.
+        halo = _halo(sl, len(kernels[0]) // 2, len(gx))
+        j = [np.empty(gx[sl].shape) for _ in products]
+        for (a, b), out in zip(products, j):
+            _cascade(a[halo] * b[halo], kernels, ((0, 0, 0),), [out])
         trace[sl] = j[0] + j[1] + j[2]
         axes[sl] = hemisphere(_smallest_eigenvector(*j))
 

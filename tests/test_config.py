@@ -111,7 +111,7 @@ def test_to_json_roundtrip(tmp_path):
 
 
 def test_grid_dims_arity():
-    with pytest.raises(ValueError, match="3 entries"):
+    with pytest.raises(ValueError, match=r"^grid dims must be three voxel counts, got \(4, 4\)$"):
         PipelineConfig.from_dict({"grid": {"dims": [4, 4]}}).grid_spec()
 
 

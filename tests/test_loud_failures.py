@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fibervox.annotate import PolylineAnnotation, read_annotations, region_grow
+from fibervox.config import PipelineConfig
 from fibervox.ctsim import (DegradeParams, radon_slice, rasterize, rasterize_attenuation,
                             simulate_fbp)
 from fibervox.fibers import Fiber, FiberModel, ModelParams, read_fibers_csv
@@ -136,6 +137,25 @@ def test_read_annotations_names_file_and_chain(tmp_path, entry):
     assert str(err.value) == f"annotation JSON '{path}' chain 1 needs 'id' and 'points'"
 
 
+def test_read_annotations_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "chains.json"
+    path.write_bytes(b'[{"id": 1, "points": "\xff"}]')
+    with pytest.raises(ValueError) as err:
+        read_annotations(path)
+    assert str(err.value).startswith(f"bad annotation JSON '{path}': 'utf-8' codec can't decode")
+
+
+def test_config_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(ValueError) as err:
+        PipelineConfig.load(path)
+    assert str(err.value).startswith(f"config file '{path}' is not valid JSON: 'utf-8' codec")
+    # UTF-8 text reads as UTF-8 whatever the locale's encoding.
+    path.write_bytes('{"segment": {"polarity": "d\u00e4rk"}}'.encode("utf-8"))
+    assert PipelineConfig.load(path).raw["segment"]["polarity"] == "d\u00e4rk"
+
+
 def test_annotate_cli_reports_bad_chain(tmp_path):
     grid = GridSpec(dims=(4, 4, 4), voxel_size=1.0)
     write_volume(Volume(grid=grid, data=np.ones(grid.dims)), tmp_path / "gray")
@@ -208,6 +228,14 @@ def test_fibers_csv_rejects_bad_rows(tmp_path, row, message):
         read_fibers_csv(path)
     assert str(err.value).startswith(f"bad fiber CSV '{path}': ")
     assert message in str(err.value)
+
+
+def test_fibers_csv_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "fibers.csv"
+    path.write_bytes(CSV_HEADER.encode() + b"1,10,10,10,20,10,10,6.5\xff\n")
+    with pytest.raises(ValueError) as err:
+        read_fibers_csv(path)
+    assert str(err.value).startswith(f"bad fiber CSV '{path}': 'utf-8' codec can't decode")
 
 
 def test_rasterize_cli_reports_zero_length_fiber(tmp_path):
@@ -394,12 +422,13 @@ def test_segment_rejects_unknown_polarity_before_filtering(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("key, value, message, cli_message", [
-    ("rho", "-1", "rho must be >= 0, got -1.0", None),
+    ("rho", "-1", "rho must be > 0, got -1.0", None),
+    ("rho", "0", "rho must be > 0, got 0.0", None),
     ("sigma_g", "0", "sigma_g must be > 0, got 0.0", None),
     # The config rejects a NaN before the library sees it.
     ("sigma_g", "NaN", "sigma_g must be > 0, got nan",
      "config key 'segment.orientation_sigma_g' must be finite"),
-], ids=["rho-negative", "sigma_g-zero", "sigma_g-nan"])
+], ids=["rho-negative", "rho-zero", "sigma_g-zero", "sigma_g-nan"])
 def test_segment_checks_orientation_settings_before_filtering(tmp_path, monkeypatch, key,
                                                               value, message, cli_message):
     monkeypatch.setattr("fibervox.cli.frangi_multiscale", _filter_must_not_run)
@@ -578,7 +607,7 @@ NUMERIC_SETTINGS = {
     "seed": (lambda v: ModelParams(seed=v), 0, False, True),
     "fiber radius": (lambda v: Fiber(1, (0.0, 0.0, 0.0), (10.0, 0.0, 0.0), v), 0, True, False),
     "sigma_g": (lambda v: check_orientation(v, 1.0), 0, True, False),
-    "rho": (lambda v: check_orientation(1.0, v), 0, False, False),
+    "rho": (lambda v: check_orientation(1.0, v), 0, True, False),
     "supersample": (lambda v: rasterize_attenuation(_EMPTY_MODEL, GridSpec((4, 4, 4), 2.0), v),
                     1, False, True),
     "n_angles (fbp)": (lambda v: simulate_fbp(_EMPTY_VOLUME, v), 1, False, True),
