@@ -12,7 +12,6 @@ neighbors of the voxels claimed in the round before.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .ctsim import _capsule_boxes
 from .fibers import _fiber_arrays
-from .volume import NEIGHBORS_26, GridSpec, LabelVolume, Volume, write_files
+from .volume import NEIGHBORS_26, GridSpec, LabelVolume, Volume, _check_number, write_files
 
 # Stands for "no offer": larger than every uint32 label.
 _NO_OFFER = np.int64(2**62)
@@ -48,6 +47,8 @@ class PolylineAnnotation:
         self.id = _exact_int(self.id, "annotation id")
         if self.id < 1:
             raise ValueError(f"annotation id must be positive, got {self.id}")
+        if self.id > np.iinfo(np.uint32).max:
+            raise ValueError(f"annotation id {self.id} does not fit the u32 labels")
         if not isinstance(self.points, (list, tuple)):
             raise ValueError(f"annotation {self.id} points must be a list of 3D points, "
                              f"got {self.points!r}")
@@ -122,8 +123,7 @@ def region_grow(gray: Volume, seeds: LabelVolume, threshold: float) -> LabelVolu
     if gray.grid != seeds.grid:
         raise ValueError(
             f"grid mismatch: gray {gray.grid.dims} vs seeds {seeds.grid.dims}")
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    _check_number("threshold", threshold, low=None)
     # One unclaimable voxel of padding on each side keeps neighbor indices in range.
     shape = tuple(n + 2 for n in seeds.grid.dims)
     inner = (slice(1, -1),) * 3

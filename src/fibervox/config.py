@@ -69,8 +69,8 @@ def default_config() -> dict:
     }
 
 
-# Nullable keys hold floats when set, except these, which hold lists of floats.
-_NULLABLE_LISTS = {"segment.scales"}
+# The keys whose default is null, and the rule each obeys when set.
+_NULLABLE = {"segment.scales": [0.0], "segment.c": 0.0, "segment.threshold": 0.0}
 
 
 def _check_value(path: str, value, default) -> object:
@@ -79,11 +79,7 @@ def _check_value(path: str, value, default) -> object:
             return None
         raise ValueError(f"config key '{path}' must not be null")
     if default is None:
-        if path in _NULLABLE_LISTS:
-            return _check_value(path, value, [0.0])
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config key '{path}' must be a number or null")
-        return _check_value(path, value, 0.0)
+        return _check_value(path, value, _NULLABLE[path])
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ValueError(f"config key '{path}' must be a boolean")

@@ -47,6 +47,7 @@ class DegradeParams:
         if not self.snr > 0:
             raise ValueError(f"snr must be > 0 (or infinite), got {self.snr}")
         _check_number("noise_seed", self.noise_seed, strict=False, integer=True)
+        _check_number("matrix_value", self.matrix_value, low=None)
 
 
 def _segment_point_dist_sq(p0, axis, inv_len_sq, px, py, pz):
@@ -136,9 +137,8 @@ def rasterize(m: FiberModel, grid: GridSpec, supersample: int | None = None,
         if supersample > 40:  # 40**3 sub-samples still fit the uint16 counts
             raise ValueError(f"supersample must be <= 40, got {supersample}")
         fiber_value, matrix_value = levels
-        for name, value in (("fiber level", fiber_value), ("matrix level", matrix_value)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _check_number("fiber level", fiber_value, low=None)
+        _check_number("matrix level", matrix_value, low=None)
         if not fiber_value > matrix_value:
             raise ValueError("fiber level must exceed matrix level")
     box_edge = m.params.box_edge

@@ -46,16 +46,13 @@ class Fiber:
     def __post_init__(self):
         self.p0 = np.asarray(self.p0, dtype=np.float64)
         self.p1 = np.asarray(self.p1, dtype=np.float64)
-        self.radius = float(self.radius)
-        if isinstance(self.id, bool) or not isinstance(self.id, (int, np.integer)):
-            raise ValueError(f"fiber id must be an integer, got {self.id!r}")
-        if self.id < 1:
-            raise ValueError(f"fiber id must be positive, got {self.id}")
+        _check_number("fiber id", self.id, low=1, strict=False, integer=True)
         if self.p0.shape != (3,) or self.p1.shape != (3,):
             raise ValueError("fiber endpoints must be 3D points")
         if not all(map(math.isfinite, self.p0.tolist() + self.p1.tolist())):
             raise ValueError("fiber endpoints must be finite")
         _check_number("fiber radius", self.radius)
+        self.radius = float(self.radius)
         if not self.length > 0:
             raise ValueError("fiber length must be > 0")
 

@@ -57,11 +57,10 @@ class VesselnessParams:
     c: float | None = None
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be a finite number > 0, got {getattr(self, name)}")
-        if self.c is not None and not 0 < self.c < math.inf:
-            raise ValueError(f"c must be null or a finite number > 0, got {self.c}")
+        _check_number("alpha", self.alpha)
+        _check_number("beta", self.beta)
+        if self.c is not None:
+            _check_number("c", self.c)
 
 
 @dataclass(frozen=True)
@@ -71,13 +70,11 @@ class ScaleSet:
     sigmas: tuple[float, ...]
 
     def __post_init__(self):
-        sigmas = tuple(float(s) for s in self.sigmas)
+        for s in self.sigmas:
+            _check_number("scale", s)
+        sigmas = tuple(map(float, self.sigmas))
         if not sigmas:
             raise ValueError("scale set must not be empty")
-        if any(s <= 0 for s in sigmas):
-            raise ValueError(f"scales must be positive, got {sigmas}")
-        if not all(map(math.isfinite, sigmas)):
-            raise ValueError(f"scales must be finite, got {sigmas}")
         if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
             raise ValueError(f"scales must be strictly ascending, got {sigmas}")
         object.__setattr__(self, "sigmas", sigmas)
@@ -407,8 +404,7 @@ def check_binarize(method: str, threshold: float | None) -> None:
     """Raise unless ``method`` is "fixed" with a finite ``threshold`` or
     "otsu" with none."""
     if method == "fixed":
-        if threshold is None or not math.isfinite(threshold):
-            raise ValueError("fixed binarization needs a finite threshold")
+        _check_number("threshold", threshold, low=None)
     elif method == "otsu":
         if threshold is not None:
             raise ValueError(f"threshold = {threshold} is ignored by otsu; leave it null")

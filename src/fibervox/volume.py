@@ -46,14 +46,16 @@ NEIGHBORS_26 = tuple(
 
 def _check_number(name: str, value, low=0, strict: bool = True, integer: bool = False) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite number
-    > ``low`` (>= ``low`` when not ``strict``); with ``integer``, an integer
-    that is not a bool. The bound comes before finiteness, so NaN and -inf fail
-    the bound and +inf fails as not finite."""
-    if integer and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not (value > low if strict else value >= low):
+    > ``low`` (>= ``low`` when not ``strict``; any finite number when ``low`` is
+    None). A bool or a non-number fails first, and with ``integer`` so does a
+    non-integer such as 2.5. The bound comes before finiteness, so NaN and -inf
+    fail the bound where there is one, and +inf fails as not finite."""
+    kind = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if low is not None and not (value > low if strict else value >= low):
         raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
-    if value == math.inf:
+    if value != value or abs(value) == math.inf:  # math.isfinite overflows on huge ints
         raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -69,9 +71,9 @@ class GridSpec:
             raise ValueError(f"grid dims must be three voxel counts, got {self.dims}")
         for d in self.dims:
             _check_number("grid dim", d, low=1, strict=False, integer=True)
+        _check_number("voxel_size", self.voxel_size)
         object.__setattr__(self, "dims", tuple(map(int, self.dims)))
         object.__setattr__(self, "voxel_size", float(self.voxel_size))
-        _check_number("voxel_size", self.voxel_size)
 
     @property
     def voxel_count(self) -> int:
@@ -217,8 +219,6 @@ def read_volume(path_stem: str | Path) -> Volume | LabelVolume:
     try:
         if not isinstance(dims, list):
             raise ValueError(f"dims must be a list, got {dims!r}")
-        if type(voxel_size) not in (int, float):
-            raise ValueError(f"voxel_size_um must be a number, got {voxel_size!r}")
         grid = GridSpec(tuple(dims), voxel_size)
     except ValueError as exc:
         raise ValueError(f"bad volume sidecar '{json_path}': {exc}") from None

@@ -165,8 +165,8 @@ def test_null_scales_derive_from_radius_and_voxel_size():
 
 @pytest.mark.parametrize("segment, msg", [
     ({"scales": [1.0, None]}, "'segment.scales\\[1\\]' must not be null"),
-    ({"c": [0.3]}, "'segment.c' must be a number or null"),
-    ({"threshold": [0.5]}, "'segment.threshold' must be a number or null"),
+    ({"c": [0.3]}, "'segment.c' must be a number"),
+    ({"threshold": [0.5]}, "'segment.threshold' must be a number"),
 ])
 def test_only_scales_is_a_nullable_list(segment, msg):
     with pytest.raises(ValueError, match=msg):

@@ -15,9 +15,9 @@ from fibervox.fibers import Fiber, FiberModel, ModelParams, read_fibers_csv
 from fibervox.mesh import export_stl
 from fibervox.metrics import _pair_count_sum
 from fibervox.vesselness import (OrientationField, ScaleSet, VesselnessParams, binarize,
-                                 check_orientation, frangi_multiscale, gaussian_kernel,
-                                 read_orientation_field, structure_tensor_orientation,
-                                 write_orientation_field)
+                                 check_binarize, check_orientation, frangi_multiscale,
+                                 gaussian_kernel, read_orientation_field,
+                                 structure_tensor_orientation, write_orientation_field)
 from fibervox.volume import GridSpec, LabelVolume, Volume, read_volume, write_volume
 from test_cli import TINY, run_cli
 
@@ -116,6 +116,13 @@ def test_annotation_rejects_non_integer_values(chain, message):
     assert str(err.value) == message
 
 
+def test_annotation_rejects_id_past_u32():
+    PolylineAnnotation(id=2**32 - 1, points=[[0, 0, 0], [1, 0, 0]])
+    with pytest.raises(ValueError) as err:
+        PolylineAnnotation(id=2**32, points=[[0, 0, 0], [1, 0, 0]])
+    assert str(err.value) == "annotation id 4294967296 does not fit the u32 labels"
+
+
 def test_annotation_accepts_integral_values():
     a = PolylineAnnotation(id=np.int64(4), points=[(np.int64(1), 2.0, 3), [0, 0, 0]])
     assert a.id == 4 and type(a.id) is int
@@ -169,6 +176,21 @@ def test_annotate_cli_reports_bad_chain(tmp_path):
     assert not (tmp_path / "anno.raw").exists()
 
 
+def test_annotate_cli_rejects_id_past_u32(tmp_path):
+    grid = GridSpec(dims=(4, 4, 4), voxel_size=1.0)
+    write_volume(Volume(grid=grid, data=np.ones(grid.dims)), tmp_path / "gray")
+    chains = tmp_path / "chains.json"
+    chains.write_text(json.dumps([{"id": 1, "points": [[0, 0, 0], [1, 0, 0]]},
+                                  {"id": 2**32, "points": [[0, 2, 0], [1, 2, 0]]}]))
+    code, out, err = run_cli("annotate", "--gray", str(tmp_path / "gray"),
+                             "--annotations", str(chains),
+                             "--output", str(tmp_path / "anno"))
+    assert code == 1 and out == ""
+    assert err.strip() == ("error stage=annotate: "
+                           "annotation id 4294967296 does not fit the u32 labels")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chains.json", "gray.json", "gray.raw"]
+
+
 @pytest.mark.parametrize("points", [5, None, 2.5])
 def test_annotate_cli_names_chain_whose_points_are_not_a_list(tmp_path, points):
     grid = GridSpec(dims=(4, 4, 4), voxel_size=1.0)
@@ -213,7 +235,7 @@ def test_fibers_csv_rejects_duplicate_ids(tmp_path):
     ("1.5,10,10,10,20,10,10,6.5", "could not convert string '1.5' to int64"),
     ("x,10,10,10,20,10,10,6.5", "could not convert string 'x' to int64"),
     ("1,10,10,10,20,10,10", "requires 8 columns but 7 were found"),
-    ("0,10,10,10,20,10,10,6.5", "fiber id must be positive, got 0"),
+    ("0,10,10,10,20,10,10,6.5", "fiber id must be >= 1, got 0"),
     ("1,10,10,10,20,10,10,0", "fiber radius must be > 0, got 0.0"),
     ("1,10,10,10,10,10,10,6.5", "fiber length must be > 0"),
     ("1,inf,10,10,20,10,10,6.5", "fiber endpoints must be finite"),
@@ -347,8 +369,9 @@ def test_degrade_cli_names_sidecar_with_bad_fields(tmp_path, fields):
 def test_c_is_null_or_a_finite_positive_number():
     assert VesselnessParams(c=0.3).c == 0.3
     assert VesselnessParams().c is None
-    for c in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match=f"c must be null or a finite number > 0, got {c}"):
+    for c, message in ((0.0, "> 0, got 0.0"), (-1.0, "> 0, got -1.0"),
+                       (math.inf, "finite, got inf"), (math.nan, "> 0, got nan")):
+        with pytest.raises(ValueError, match=f"^c must be {message}$"):
             VesselnessParams(c=c)
 
 
@@ -590,10 +613,12 @@ def test_fiber_rejects_non_integer_id(fiber_id):
 
 _EMPTY_MODEL = FiberModel(ModelParams(box_edge=8.0, radius=1.0), [])
 _EMPTY_VOLUME = Volume(GridSpec((4, 4, 1), 2.0), np.zeros((4, 4, 1)))
+_EMPTY_SEEDS = LabelVolume.zeros(_EMPTY_VOLUME.grid)
+_EMPTY_GRID = GridSpec((4, 4, 4), 2.0)
 
 # Every numeric setting the library checks with the one rule: the name its
-# messages give, a call that passes it, the bound, whether the bound is strict
-# and whether the setting is an integer.
+# messages give, a call that passes it, the bound (None: any finite number),
+# whether the bound is strict and whether the setting is an integer.
 NUMERIC_SETTINGS = {
     "voxel_size": (lambda v: GridSpec((4, 4, 4), v), 0, True, False),
     "grid dim": (lambda v: GridSpec((4, v, 4), 1.0), 1, False, True),
@@ -606,9 +631,22 @@ NUMERIC_SETTINGS = {
     "max_attempts": (lambda v: ModelParams(max_attempts=v), 0, False, True),
     "seed": (lambda v: ModelParams(seed=v), 0, False, True),
     "fiber radius": (lambda v: Fiber(1, (0.0, 0.0, 0.0), (10.0, 0.0, 0.0), v), 0, True, False),
+    "fiber id": (lambda v: Fiber(v, (0.0, 0.0, 0.0), (10.0, 0.0, 0.0), 1.0), 1, False, True),
+    "matrix_value": (lambda v: DegradeParams(matrix_value=v), None, True, False),
+    "fiber level": (lambda v: rasterize_attenuation(_EMPTY_MODEL, _EMPTY_GRID, 2, (v, 1.0)),
+                    None, True, False),
+    "matrix level": (lambda v: rasterize_attenuation(_EMPTY_MODEL, _EMPTY_GRID, 2, (3.0, v)),
+                     None, True, False),
+    "alpha": (lambda v: VesselnessParams(alpha=v), 0, True, False),
+    "beta": (lambda v: VesselnessParams(beta=v), 0, True, False),
+    "c": (lambda v: VesselnessParams(c=v), 0, True, False),
+    "scale": (lambda v: ScaleSet((v,)), 0, True, False),
+    "threshold (region_grow)": (lambda v: region_grow(_EMPTY_VOLUME, _EMPTY_SEEDS, v),
+                                None, True, False),
+    "threshold (binarize)": (lambda v: check_binarize("fixed", v), None, True, False),
     "sigma_g": (lambda v: check_orientation(v, 1.0), 0, True, False),
     "rho": (lambda v: check_orientation(1.0, v), 0, True, False),
-    "supersample": (lambda v: rasterize_attenuation(_EMPTY_MODEL, GridSpec((4, 4, 4), 2.0), v),
+    "supersample": (lambda v: rasterize_attenuation(_EMPTY_MODEL, _EMPTY_GRID, v),
                     1, False, True),
     "n_angles (fbp)": (lambda v: simulate_fbp(_EMPTY_VOLUME, v), 1, False, True),
     "n_angles (radon)": (lambda v: radon_slice(np.zeros((4, 4)), v), 1, False, True),
@@ -621,15 +659,18 @@ def _numeric_cases():
     for site, (call, low, strict, integer) in NUMERIC_SETTINGS.items():
         name = site.split(" (")[0]
         bound = f"{name} must be {'>' if strict else '>='} {low}, got"
-        past = low - 1 if integer else float(low) if strict else low - 1e-9
-        values = {"nan": math.nan, "-inf": -math.inf, "inf": math.inf, "past": past}
+        values = {"nan": math.nan, "-inf": -math.inf, "inf": math.inf, "true": True, "text": "1"}
+        if low is not None:
+            values["past"] = low - 1 if integer else float(low) if strict else low - 1e-9
         if integer:
-            values.update(true=True, fraction=2.5)
+            values["fraction"] = 2.5
         for label, value in values.items():
             if integer and label != "past":
                 message = f"{name} must be an integer, got {value!r}"
-            elif label == "inf":
-                message = f"{name} must be finite, got inf"
+            elif label in ("true", "text"):
+                message = f"{name} must be a number, got {value!r}"
+            elif label == "inf" or low is None:
+                message = f"{name} must be finite, got {value}"
             else:
                 message = f"{bound} {value}"
             yield pytest.param(call, value, message, id=f"{site}-{label}")
@@ -657,10 +698,10 @@ def test_nan_psf_sigma_is_rejected(tmp_path, monkeypatch):
 @pytest.mark.parametrize("build, message", [
     (lambda: check_orientation(math.inf, 1.0), "sigma_g must be finite, got inf"),
     (lambda: check_orientation(1.0, math.inf), "rho must be finite, got inf"),
-    (lambda: ScaleSet((1.0, math.inf)), r"scales must be finite, got \(1.0, inf\)"),
-    (lambda: ScaleSet((math.nan,)), r"scales must be finite, got \(nan,\)"),
-    (lambda: VesselnessParams(alpha=math.inf), "alpha must be a finite number > 0, got inf"),
-    (lambda: VesselnessParams(beta=math.nan), "beta must be a finite number > 0, got nan"),
+    (lambda: ScaleSet((1.0, math.inf)), "scale must be finite, got inf"),
+    (lambda: ScaleSet((math.nan,)), "scale must be > 0, got nan"),
+    (lambda: VesselnessParams(alpha=math.inf), "alpha must be finite, got inf"),
+    (lambda: VesselnessParams(beta=math.nan), "beta must be > 0, got nan"),
 ], ids=["sigma_g", "rho", "scales-inf", "scales-nan", "alpha", "beta"])
 def test_segment_settings_must_be_finite(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -279,7 +279,7 @@ def test_binarize_fixed_and_errors():
     m = binarize(v, method="fixed", threshold=4.0)
     assert int(m.data.sum()) == 4  # values 4,5,6,7
     assert m.data.dtype == np.uint32
-    with pytest.raises(ValueError, match="finite threshold"):
+    with pytest.raises(ValueError, match="^threshold must be a number, got None$"):
         binarize(v, method="fixed", threshold=None)
     with pytest.raises(ValueError, match="unknown binarization"):
         binarize(v, method="banana")
