@@ -16,7 +16,7 @@ from pathlib import Path
 from .ctsim import DegradeParams
 from .fibers import EPOXY_DENSITY, GLASS_DENSITY, ModelParams
 from .vesselness import ScaleSet, VesselnessParams, default_scales
-from .volume import GridSpec
+from .volume import GridSpec, _check_number
 
 
 def default_config() -> dict:
@@ -84,17 +84,11 @@ def _check_value(path: str, value, default) -> object:
         if not isinstance(value, bool):
             raise ValueError(f"config key '{path}' must be a boolean")
         return value
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"config key '{path}' must be an integer")
-        return value
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config key '{path}' must be a number")
+    if isinstance(default, (int, float)):
         # json.loads reads NaN and +-Infinity; an infinite SNR means no noise.
-        if not math.isfinite(value) and not (path == "degrade.snr" and value == math.inf):
-            raise ValueError(f"config key '{path}' must be finite")
-        return float(value)
+        if not (path == "degrade.snr" and value == math.inf):
+            _check_number(f"config key '{path}'", value, low=None, integer=isinstance(default, int))
+        return value if isinstance(default, int) else float(value)
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ValueError(f"config key '{path}' must be a string")

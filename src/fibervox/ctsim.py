@@ -44,8 +44,8 @@ class DegradeParams:
 
     def __post_init__(self):
         _check_number("psf_sigma", self.psf_sigma, strict=False)
-        if not self.snr > 0:
-            raise ValueError(f"snr must be > 0 (or infinite), got {self.snr}")
+        if self.snr != math.inf:
+            _check_number("snr", self.snr)
         _check_number("noise_seed", self.noise_seed, strict=False, integer=True)
         _check_number("matrix_value", self.matrix_value, low=None)
 
@@ -128,7 +128,7 @@ def rasterize(m: FiberModel, grid: GridSpec, supersample: int | None = None,
     sub-lattice inside any capsule: exactly the fiber level in fully covered
     voxels, exactly the matrix level in untouched ones. ``supersample`` is an
     integer from 1 to 40 (the counts are uint16); both ``levels`` (fiber,
-    matrix) must be finite, the fiber level the higher, and fiber ids fit in
+    matrix) are finite, the fiber level the higher, and fiber ids fit in
     uint32. Per plane across its dominant axis, a fiber tests the rectangle of
     voxels whose center can lie within R = r + half a voxel diagonal of its
     axis and sub-samples those within R; no other has a sub-sample within r."""

@@ -88,7 +88,8 @@ class ModelParams:
             raise ValueError("fiber diameter must be smaller than the box edge")
         _check_number("mean_length", self.mean_length)
         _check_number("length_stddev", self.length_stddev, strict=False)
-        if not 0 < self.target_fraction < 1:
+        _check_number("target_fraction", self.target_fraction)
+        if not self.target_fraction < 1:
             raise ValueError(f"target_fraction must be in (0, 1), got {self.target_fraction}")
         _check_number("max_attempts", self.max_attempts, strict=False, integer=True)
         _check_number("seed", self.seed, strict=False, integer=True)

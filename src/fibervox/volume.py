@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import contextvars
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,17 +45,17 @@ NEIGHBORS_26 = tuple(
 
 
 def _check_number(name: str, value, low=0, strict: bool = True, integer: bool = False) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite number
-    > ``low`` (>= ``low`` when not ``strict``; any finite number when ``low`` is
-    None). A bool or a non-number fails first, and with ``integer`` so does a
-    non-integer such as 2.5. The bound comes before finiteness, so NaN and -inf
-    fail the bound where there is one, and +inf fails as not finite."""
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a number > ``low``
+    (>= when not ``strict``; no bound when None) that a float64 holds. A bool or
+    non-number fails first; with ``integer`` so does 2.5, and no int is too
+    large. The bound comes first, so NaN and -inf fail it where there is
+    one, and +inf or an int such as 10**400 fails as not finite."""
     kind = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
     if low is not None and not (value > low if strict else value >= low):
         raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
-    if value != value or abs(value) == math.inf:  # math.isfinite overflows on huge ints
+    if not integer and not abs(value) <= sys.float_info.max:  # NaN compares False
         raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -196,7 +196,8 @@ def _number_keys():
 
 
 @pytest.mark.parametrize("key", _number_keys())
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "huge"])
 def test_float_keys_must_be_finite(key, value):
     if key == "degrade.snr" and value == math.inf:
         # An infinite SNR means no noise.
@@ -205,9 +206,38 @@ def test_float_keys_must_be_finite(key, value):
     section, leaf = key.split(".")
     override = [1.0, value] if leaf == "scales[1]" else value
     leaf = leaf.removesuffix("[1]")
-    with pytest.raises(ValueError, match=f"^config key '{re.escape(key)}' must be finite$"):
+    message = f"^config key '{re.escape(key)}' must be finite, got {re.escape(str(value))}$"
+    with pytest.raises(ValueError, match=message):
         PipelineConfig.from_dict({section: {leaf: override}})
     text = json.dumps(override)
-    with pytest.raises(ValueError, match=f"^config key '{re.escape(key)}' must be finite$"):
+    with pytest.raises(ValueError, match=message):
         PipelineConfig().apply_overrides([f"{section}.{leaf}={text}"])
 
+
+def _integer_keys():
+    """Every integer key, with a dims entry standing for the list."""
+    keys = [f"{section}.{key}" for section, entries in default_config().items()
+            for key, value in entries.items()
+            if isinstance(value, int) and not isinstance(value, bool)]
+    return keys + ["grid.dims[0]"]
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    *[pytest.param(k, v, "a number", id=f"{k}-{v!r}") for k in _number_keys() for v in (True, "1")],
+    *[pytest.param(k, v, "an integer", id=f"{k}-{v!r}") for k in _integer_keys()
+      for v in (2.5, True)],
+])
+def test_number_keys_follow_the_library_rule(key, value, kind):
+    section, leaf = key.split(".")
+    leaf, _, index = leaf.partition("[")
+    override = value
+    if index:
+        override = [1, 1, 1]
+        override[int(index[:-1])] = value
+    message = f"config key '{key}' must be {kind}, got {value!r}"
+    with pytest.raises(ValueError) as err:
+        PipelineConfig.from_dict({section: {leaf: override}})
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        PipelineConfig().apply_overrides([f"{section}.{leaf}={json.dumps(override)}"])
+    assert str(err.value) == message

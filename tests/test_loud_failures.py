@@ -9,8 +9,8 @@ import pytest
 
 from fibervox.annotate import PolylineAnnotation, read_annotations, region_grow
 from fibervox.config import PipelineConfig
-from fibervox.ctsim import (DegradeParams, radon_slice, rasterize, rasterize_attenuation,
-                            simulate_fbp)
+from fibervox.ctsim import (DegradeParams, degrade, radon_slice, rasterize,
+                            rasterize_attenuation, simulate_fbp)
 from fibervox.fibers import Fiber, FiberModel, ModelParams, read_fibers_csv
 from fibervox.mesh import export_stl
 from fibervox.metrics import _pair_count_sum
@@ -450,7 +450,7 @@ def test_segment_rejects_unknown_polarity_before_filtering(tmp_path, monkeypatch
     ("sigma_g", "0", "sigma_g must be > 0, got 0.0", None),
     # The config rejects a NaN before the library sees it.
     ("sigma_g", "NaN", "sigma_g must be > 0, got nan",
-     "config key 'segment.orientation_sigma_g' must be finite"),
+     "config key 'segment.orientation_sigma_g' must be finite, got nan"),
 ], ids=["rho-negative", "rho-zero", "sigma_g-zero", "sigma_g-nan"])
 def test_segment_checks_orientation_settings_before_filtering(tmp_path, monkeypatch, key,
                                                               value, message, cli_message):
@@ -652,6 +652,8 @@ NUMERIC_SETTINGS = {
     "n_angles (radon)": (lambda v: radon_slice(np.zeros((4, 4)), v), 1, False, True),
     "sigma": (lambda v: gaussian_kernel(v), 0, True, False),
     "segments_per_circle": (lambda v: export_stl([], v), 3, False, True),
+    "snr": (lambda v: DegradeParams(snr=v), 0, True, False),
+    "target_fraction": (lambda v: ModelParams(target_fraction=v), 0, True, False),
 }
 
 
@@ -660,16 +662,20 @@ def _numeric_cases():
         name = site.split(" (")[0]
         bound = f"{name} must be {'>' if strict else '>='} {low}, got"
         values = {"nan": math.nan, "-inf": -math.inf, "inf": math.inf, "true": True, "text": "1"}
+        if site == "snr":
+            del values["inf"]  # no noise: test_infinite_snr_means_no_noise
         if low is not None:
             values["past"] = low - 1 if integer else float(low) if strict else low - 1e-9
         if integer:
             values["fraction"] = 2.5
+        else:
+            values["huge"] = 10**400  # an int no float64 holds
         for label, value in values.items():
             if integer and label != "past":
                 message = f"{name} must be an integer, got {value!r}"
             elif label in ("true", "text"):
                 message = f"{name} must be a number, got {value!r}"
-            elif label == "inf" or low is None:
+            elif label in ("inf", "huge") or low is None:
                 message = f"{name} must be finite, got {value}"
             else:
                 message = f"{bound} {value}"
@@ -683,6 +689,47 @@ def test_numeric_settings_follow_one_rule(call, value, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("snr", [math.inf, np.float32("inf")], ids=["python", "numpy"])
+def test_infinite_snr_means_no_noise(snr):
+    v = Volume(GridSpec((4, 4, 4), 1.0), np.arange(64.0).reshape(4, 4, 4))
+    assert np.array_equal(degrade(v, DegradeParams(psf_sigma=0.0, snr=snr)).data, v.data)
+
+
+def test_degrade_cli_takes_infinite_snr(tmp_path):
+    v = Volume(GridSpec((4, 4, 4), 1.0), np.arange(64.0).reshape(4, 4, 4))
+    write_volume(v, tmp_path / "v")
+    code, out, err = run_cli("degrade", "--set", "degrade.snr=Infinity",
+                             "--set", "degrade.psf_sigma_um=0.0",
+                             "--input", str(tmp_path / "v"), "--output", str(tmp_path / "out"))
+    assert code == 0 and err == ""
+    assert np.array_equal(read_volume(tmp_path / "out").data, v.data)
+
+
+def test_target_fraction_below_one():
+    with pytest.raises(ValueError, match=r"^target_fraction must be in \(0, 1\), got 1.0$"):
+        ModelParams(target_fraction=1.0)
+
+
+def test_integer_settings_have_no_upper_limit():
+    assert ModelParams(seed=10**400).seed == 10**400
+
+
+def test_config_file_number_past_float64_names_the_key(tmp_path):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"grid": {"voxel_size_um": 1' + "0" * 400 + "}}")
+    message = f"config key 'grid.voxel_size_um' must be finite, got {10**400}"
+    with pytest.raises(ValueError) as err:
+        PipelineConfig.load(cfg)
+    assert str(err.value) == message
+    path = tmp_path / "fibers.csv"
+    path.write_text(CSV_HEADER + "3,20,20,20,40,20,20,6.5\n")
+    code, out, err = run_cli("rasterize", "--config", str(cfg), "--fibers", str(path),
+                             "--out-dir", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.strip() == f"error stage=rasterize: {message}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fibers.csv", "huge.json"]
+
+
 def test_nan_psf_sigma_is_rejected(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="^psf_sigma must be >= 0, got nan$"):
         DegradeParams(psf_sigma=math.nan)
@@ -691,7 +738,8 @@ def test_nan_psf_sigma_is_rejected(tmp_path, monkeypatch):
     code, out, err = run_cli("degrade", "--set", "degrade.psf_sigma_um=NaN",
                              "--input", str(tmp_path / "v"), "--output", str(tmp_path / "out"))
     assert code == 1 and out == ""
-    assert err.strip() == "error stage=degrade: config key 'degrade.psf_sigma_um' must be finite"
+    assert err.strip() == ("error stage=degrade: "
+                           "config key 'degrade.psf_sigma_um' must be finite, got nan")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json", "v.raw"]
 
 
@@ -721,7 +769,7 @@ def test_segment_cli_rejects_infinite_settings_before_filtering(tmp_path, monkey
                              "--out-dir", str(tmp_path / "seg"),
                              "--orientation", str(tmp_path / "orient"))
     assert code == 1 and out == ""
-    assert err.strip() == f"error stage=segment: config key '{key}' must be finite"
+    assert err.strip() == f"error stage=segment: config key '{key}' must be finite, got inf"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gray.json", "gray.raw"]
 
 
